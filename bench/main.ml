@@ -22,7 +22,6 @@ module Runner = Dr_exp.Runner
 module Routing = Drtp.Routing
 module Net_state = Drtp.Net_state
 module Path = Dr_topo.Path
-module Telemetry = Dr_telemetry.Telemetry
 module Journal = Dr_obs.Journal
 
 let quick = Sys.getenv_opt "DRTP_BENCH_QUICK" <> None
@@ -267,17 +266,6 @@ let test_scenario_parse =
          | Ok _ -> ()
          | Error e -> failwith e))
 
-(* Telemetry primitives with the master switch off — what every
-   instrumented hot path pays when nobody is observing. *)
-let test_telemetry_counter_off =
-  let c = Telemetry.Counter.make "bench.counter" in
-  Test.make ~name:"telemetry/counter-incr-disabled"
-    (Staged.stage (fun () -> Telemetry.Counter.incr c))
-
-let test_telemetry_span_off =
-  Test.make ~name:"telemetry/span-disabled"
-    (Staged.stage (fun () -> Telemetry.Span.with_ ~name:"bench.span" (fun () -> ())))
-
 (* Journal primitives with the switch off — the cost every journal guard
    adds to an uninstrumented run (one load + one branch). *)
 let test_journal_record_off =
@@ -379,8 +367,6 @@ let all_tests =
     test_chain_route;
     test_group_eval;
     test_scenario_parse;
-    test_telemetry_counter_off;
-    test_telemetry_span_off;
     test_journal_record_off;
     test_journal_record_on;
     test_span_off;
@@ -421,20 +407,19 @@ let run_benchmarks () =
 
 (* --- instrumentation-overhead check --------------------------------------- *)
 
-(* The telemetry and journal subsystems promise near-zero cost while
-   disabled.  This harness enforces the claim on the event-engine hot loop
-   (schedule + dispatch, the simulator's innermost cycle): an
-   uninstrumented replica of the loop is raced against the instrumented
-   {!Dr_sim.Engine} — which now carries both the telemetry and the journal
-   guards — with everything off, with telemetry enabled into a JSONL sink,
-   and with the journal enabled into its ring.  Variants are interleaved
-   and the per-variant minimum over several trials is kept, which
-   suppresses scheduling and frequency-scaling noise. *)
+(* The journal promises near-zero cost while disabled.  This harness
+   enforces the claim on the event-engine hot loop (schedule + dispatch,
+   the simulator's innermost cycle): an uninstrumented replica of the loop
+   is raced against the instrumented {!Dr_sim.Engine} — which carries the
+   journal's clock guard — with the journal off and with it enabled into
+   its ring.  Variants are interleaved and the per-variant minimum over
+   several trials is kept, which suppresses scheduling and
+   frequency-scaling noise. *)
 
 module Pqueue = Dr_pqueue.Pqueue
 module Engine = Dr_sim.Engine
 
-(* A line-for-line replica of [Dr_sim.Engine] with the telemetry guards
+(* A line-for-line replica of [Dr_sim.Engine] with the journal guard
    deleted: the engine exactly as it was before instrumentation.  Keeping
    the closure-based handler dispatch and validity checks identical means
    the measured gap is the guards themselves, not abstraction cost. *)
@@ -493,23 +478,14 @@ let time_of f =
 let overhead_check () =
   let events = if quick then 100_000 else 1_000_000 in
   let trials = 5 in
-  let best = Array.make 4 infinity in
-  let sink_file = Filename.temp_file "drtp_bench_trace" ".jsonl" in
+  let best = Array.make 3 infinity in
   let journal_buf = Journal.create () in
   let variant ?(events = events) i =
     match i with
     | 0 -> time_of (fun () -> bare_loop events)
     | 1 ->
-        Telemetry.set_enabled false;
         Journal.set_enabled false;
         time_of (fun () -> engine_loop events)
-    | 2 ->
-        Telemetry.set_enabled true;
-        Telemetry.Sink.set (Telemetry.Sink.jsonl (open_out sink_file));
-        let dt = time_of (fun () -> engine_loop events) in
-        Telemetry.Sink.close ();
-        Telemetry.set_enabled false;
-        dt
     | _ ->
         Journal.set_enabled true;
         Journal.clear journal_buf;
@@ -521,11 +497,11 @@ let overhead_check () =
         dt
   in
   (* Warm up each variant once, then interleave the measured trials. *)
-  for i = 0 to 3 do
+  for i = 0 to 2 do
     ignore (variant i)
   done;
   for _ = 1 to trials do
-    for i = 0 to 3 do
+    for i = 0 to 2 do
       best.(i) <- min best.(i) (variant i)
     done
   done;
@@ -572,20 +548,16 @@ let overhead_check () =
     incr tried
   done;
   let median_ratio = !median_ratio in
-  Telemetry.reset ();
-  Sys.remove sink_file;
   let per_event s = s /. float_of_int events *. 1e9 in
   let pct i = 100.0 *. (best.(i) -. best.(0)) /. best.(0) in
   Printf.printf "# Instrumentation overhead (event-engine hot loop, %d events)\n"
     events;
   Printf.printf "%-34s %8.1f ns/event\n" "bare (uninstrumented replica)"
     (per_event best.(0));
+  Printf.printf "%-34s %8.1f ns/event  (%+.1f%%)\n" "engine, journal off"
+    (per_event best.(1)) (pct 1);
   Printf.printf "%-34s %8.1f ns/event  (%+.1f%%)\n"
-    "engine, telemetry+journal off" (per_event best.(1)) (pct 1);
-  Printf.printf "%-34s %8.1f ns/event  (%+.1f%%)\n"
-    "engine, telemetry + JSONL sink" (per_event best.(2)) (pct 2);
-  Printf.printf "%-34s %8.1f ns/event  (%+.1f%%)\n"
-    "engine, journal ring enabled" (per_event best.(3)) (pct 3);
+    "engine, journal ring enabled" (per_event best.(2)) (pct 2);
   let overhead = 100.0 *. (median_ratio -. 1.0) in
   Printf.printf
     "%s: disabled-instrumentation overhead %.1f%% vs %.1f%% budget (median of %d paired slices)\n\n"
@@ -832,12 +804,9 @@ let regenerate () =
    allocation totals shift with compiler versions and flambda settings,
    so CI archives this line instead of asserting on it. *)
 let gc_report () =
-  Telemetry.set_enabled true;
-  Telemetry.observe_gc ();
-  Telemetry.set_enabled false;
   let s = Gc.quick_stat () in
   Printf.printf
-    "# GC telemetry (non-gating): minor_words=%.3e major_words=%.3e \
+    "# GC (non-gating): minor_words=%.3e major_words=%.3e \
      promoted_words=%.3e top_heap=%d words (%.1f MiB), %d major collections\n\n"
     s.Gc.minor_words s.Gc.major_words s.Gc.promoted_words s.Gc.top_heap_words
     (float_of_int s.Gc.top_heap_words *. 8.0 /. (1024.0 *. 1024.0))

@@ -10,22 +10,15 @@ let stderr_progress line =
   prerr_string line;
   prerr_newline ()
 
-(* ---- telemetry --------------------------------------------------------- *)
+(* ---- observability ------------------------------------------------------ *)
 
-module Telemetry = Dr_telemetry.Telemetry
 module Journal = Dr_obs.Journal
-
-let trace_t =
-  let doc =
-    "Enable telemetry and write a JSONL trace (span records, then a final \
-     snapshot of every counter/gauge/timer) to $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let metrics_t =
   let doc =
-    "Enable telemetry and print the metrics summary table when the command \
-     finishes."
+    "Enable the flight-recorder journal and, when the command finishes, \
+     print its exact per-kind event totals (stdout, identical for any \
+     $(b,--jobs) count) and one GC line (stderr)."
   in
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
@@ -37,24 +30,22 @@ let journal_t =
   in
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
 
-(* Evaluating this term configures telemetry as a side effect, so every
-   subcommand picks the flags up by prepending [$ telemetry_t].  The
-   summary table and the trace/journal finalisation run from [at_exit]:
-   they then also cover commands that leave through [exit] (claims). *)
-let telemetry_t =
-  let setup trace metrics journal =
-    if trace <> None || metrics then Telemetry.set_enabled true;
-    (match trace with
-    | None -> ()
-    | Some file ->
-        let oc =
-          try open_out file
-          with Sys_error msg ->
-            Printf.eprintf "drtp_sim: cannot open trace file (%s)\n" msg;
-            exit 2
-        in
-        Telemetry.Sink.set (Telemetry.Sink.jsonl oc);
-        at_exit Telemetry.Sink.close);
+(* The "# events by kind" table of [--metrics] and [inspect]: one row per
+   kind with a nonzero count, in [Journal.all_kinds] order. *)
+let print_kind_counts counts =
+  Format.printf "@.@[<v># events by kind@,";
+  List.iter
+    (fun (kind, n) -> if n > 0 then Format.printf "%-18s %8d@," kind n)
+    counts;
+  Format.printf "@]@."
+
+(* Evaluating this term configures the journal as a side effect, so every
+   subcommand picks the flags up by prepending [$ obs_t].  The totals table
+   and the journal file are written from [at_exit]: they then also cover
+   commands that leave through [exit] (claims). *)
+let obs_t =
+  let setup metrics journal =
+    if metrics || journal <> None then Journal.set_enabled true;
     (match journal with
     | None -> ()
     | Some file ->
@@ -64,20 +55,20 @@ let telemetry_t =
             Printf.eprintf "drtp_sim: cannot open journal file (%s)\n" msg;
             exit 2
         in
-        Journal.set_enabled true;
         at_exit (fun () ->
             Journal.write_jsonl (Journal.current ()) oc;
             close_out_noerr oc));
     if metrics then
-      (* Registered after the sink hook, so LIFO order prints the table
-         before the trace file is finalised.  The GC sample lands just
-         before the table renders, so the [gc.*] gauges report the whole
-         run's allocation odometers and top-heap high-water mark. *)
       at_exit (fun () ->
-          Telemetry.observe_gc ();
-          Format.printf "@.%a@." Telemetry.pp_summary ())
+          print_kind_counts (Journal.totals (Journal.current ()));
+          let s = Gc.quick_stat () in
+          Printf.eprintf
+            "gc: minor_words=%.0f major_words=%.0f promoted_words=%.0f \
+             top_heap_words=%d major_collections=%d\n"
+            s.Gc.minor_words s.Gc.major_words s.Gc.promoted_words
+            s.Gc.top_heap_words s.Gc.major_collections)
   in
-  Term.(const setup $ trace_t $ metrics_t $ journal_t)
+  Term.(const setup $ metrics_t $ journal_t)
 
 (* ---- shared options ---------------------------------------------------- *)
 
@@ -148,7 +139,7 @@ let table1_cmd =
   in
   Cmd.v
     (Cmd.info "table1" ~doc:"Print the simulation parameters (paper Table 1).")
-    Term.(const run $ telemetry_t $ jobs_t $ quick_t $ seed_t)
+    Term.(const run $ obs_t $ jobs_t $ quick_t $ seed_t)
 
 let csv_t =
   Arg.(
@@ -180,7 +171,7 @@ let fig4_cmd =
   Cmd.v
     (Cmd.info "fig4"
        ~doc:"Reproduce Figure 4: fault-tolerance P_act-bk vs lambda.")
-    Term.(const run $ telemetry_t $ jobs_t $ degree_t $ quick_t $ seed_t $ csv_t)
+    Term.(const run $ obs_t $ jobs_t $ degree_t $ quick_t $ seed_t $ csv_t)
 
 let fig5_cmd =
   let run () jobs degree quick seed csv =
@@ -188,7 +179,7 @@ let fig5_cmd =
   in
   Cmd.v
     (Cmd.info "fig5" ~doc:"Reproduce Figure 5: capacity overhead vs lambda.")
-    Term.(const run $ telemetry_t $ jobs_t $ degree_t $ quick_t $ seed_t $ csv_t)
+    Term.(const run $ obs_t $ jobs_t $ degree_t $ quick_t $ seed_t $ csv_t)
 
 let details_cmd =
   let json_t =
@@ -219,7 +210,7 @@ let details_cmd =
   in
   Cmd.v
     (Cmd.info "details" ~doc:"Per-cell diagnostics for one sweep.")
-    Term.(const run $ telemetry_t $ jobs_t $ json_t $ degree_t $ quick_t $ seed_t $ csv_t)
+    Term.(const run $ obs_t $ jobs_t $ json_t $ degree_t $ quick_t $ seed_t $ csv_t)
 
 let claims_cmd =
   let json_t =
@@ -259,7 +250,7 @@ let claims_cmd =
        ~doc:
          "Run both sweeps and check the paper's summary claims (§6.2); \
           exits 1 if any claim fails.")
-    Term.(const run $ telemetry_t $ jobs_t $ json_t $ quick_t $ seed_t)
+    Term.(const run $ obs_t $ jobs_t $ json_t $ quick_t $ seed_t)
 
 let ablate_mux_cmd =
   let run () jobs degree traffic lambda quick seed =
@@ -272,7 +263,7 @@ let ablate_mux_cmd =
   Cmd.v
     (Cmd.info "ablate-mux"
        ~doc:"Ablation A1: multiplexed vs dedicated spare reservations.")
-    Term.(const run $ telemetry_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ quick_t $ seed_t)
+    Term.(const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ quick_t $ seed_t)
 
 let ablate_flood_cmd =
   let run () jobs degree traffic lambda quick seed =
@@ -285,7 +276,7 @@ let ablate_flood_cmd =
   Cmd.v
     (Cmd.info "ablate-flood"
        ~doc:"Ablation A2: bounded-flooding scope parameters.")
-    Term.(const run $ telemetry_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ quick_t $ seed_t)
+    Term.(const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ quick_t $ seed_t)
 
 let ablate_spf_cmd =
   let run () jobs traffic lambda quick seed =
@@ -297,7 +288,7 @@ let ablate_spf_cmd =
   Cmd.v
     (Cmd.info "ablate-spf"
        ~doc:"Ablation A3: conflict-aware vs conflict-blind backup routing.")
-    Term.(const run $ telemetry_t $ jobs_t $ traffic_t $ lambda_t ~default:0.5 $ quick_t $ seed_t)
+    Term.(const run $ obs_t $ jobs_t $ traffic_t $ lambda_t ~default:0.5 $ quick_t $ seed_t)
 
 let ablate_backups_cmd =
   let run () jobs degree traffic lambda quick seed =
@@ -312,7 +303,7 @@ let ablate_backups_cmd =
        ~doc:
          "Extension E2: zero, one or two backups per DR-connection (edge and \
           node fault-tolerance vs capacity).")
-    Term.(const run $ telemetry_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.4 $ quick_t $ seed_t)
+    Term.(const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.4 $ quick_t $ seed_t)
 
 let replicate_cmd =
   let seeds_t =
@@ -336,7 +327,7 @@ let replicate_cmd =
     (Cmd.info "replicate"
        ~doc:
          "Figures 4/5 with multi-seed replication and confidence intervals.")
-    Term.(const run $ telemetry_t $ jobs_t $ degree_t $ seeds_t $ quick_t $ seed_t)
+    Term.(const run $ obs_t $ jobs_t $ degree_t $ seeds_t $ quick_t $ seed_t)
 
 let ablate_qos_cmd =
   let run () jobs degree traffic lambda quick seed =
@@ -351,7 +342,7 @@ let ablate_qos_cmd =
        ~doc:
          "Extension E5: hop (delay) budget on backup routes — tight QoS \
           forfeits protection.")
-    Term.(const run $ telemetry_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.4 $ quick_t $ seed_t)
+    Term.(const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.4 $ quick_t $ seed_t)
 
 let ablate_classes_cmd =
   let run () jobs degree traffic lambda quick seed =
@@ -366,7 +357,7 @@ let ablate_classes_cmd =
        ~doc:
          "Heterogeneous bandwidth classes (audio/video mixes) through the \
           weighted multiplexing rule.")
-    Term.(const run $ telemetry_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.3 $ quick_t $ seed_t)
+    Term.(const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.3 $ quick_t $ seed_t)
 
 let availability_cmd =
   let mtbf_t =
@@ -389,7 +380,7 @@ let availability_cmd =
          "Extension E6: service availability under a continuous \
           failure/repair process, DRTP vs reactive.")
     Term.(
-      const run $ telemetry_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ mtbf_t $ mttr_t
+      const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ mtbf_t $ mttr_t
       $ quick_t $ seed_t)
 
 let staleness_cmd =
@@ -403,7 +394,7 @@ let staleness_cmd =
        ~doc:
          "Extension E4: distributed protocol with damped link-state \
           advertisements (setup failures vs advertisement traffic).")
-    Term.(const run $ telemetry_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ quick_t $ seed_t)
+    Term.(const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ quick_t $ seed_t)
 
 let overhead_cmd =
   let run () _jobs degree traffic lambda quick seed =
@@ -413,7 +404,7 @@ let overhead_cmd =
   in
   Cmd.v
     (Cmd.info "overhead" ~doc:"Routing-overhead comparison of the schemes.")
-    Term.(const run $ telemetry_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ quick_t $ seed_t)
+    Term.(const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ quick_t $ seed_t)
 
 let recovery_cmd =
   let failures_t =
@@ -428,7 +419,7 @@ let recovery_cmd =
     (Cmd.info "recovery"
        ~doc:"Extension E1: dynamic failure recovery, DRTP vs reactive.")
     Term.(
-      const run $ telemetry_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ failures_t
+      const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ failures_t
       $ quick_t $ seed_t)
 
 let topo_cmd =
@@ -468,7 +459,7 @@ let topo_cmd =
   in
   Cmd.v
     (Cmd.info "topo" ~doc:"Describe the generated evaluation topology.")
-    Term.(const run $ telemetry_t $ jobs_t $ degree_t $ dot_t $ save_t $ quick_t $ seed_t)
+    Term.(const run $ obs_t $ jobs_t $ degree_t $ dot_t $ save_t $ quick_t $ seed_t)
 
 let scenario_cmd =
   let out_t =
@@ -489,7 +480,7 @@ let scenario_cmd =
   Cmd.v
     (Cmd.info "scenario"
        ~doc:"Generate and save a scenario file (the paper's Matlab step).")
-    Term.(const run $ telemetry_t $ jobs_t $ traffic_t $ lambda_t ~default:0.5 $ out_t $ quick_t $ seed_t)
+    Term.(const run $ obs_t $ jobs_t $ traffic_t $ lambda_t ~default:0.5 $ out_t $ quick_t $ seed_t)
 
 let replay_cmd =
   let file_t =
@@ -543,7 +534,7 @@ let replay_cmd =
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Replay a saved scenario file under a chosen routing scheme.")
-    Term.(const run $ telemetry_t $ jobs_t $ degree_t $ file_t $ scheme_t $ quick_t $ seed_t)
+    Term.(const run $ obs_t $ jobs_t $ degree_t $ file_t $ scheme_t $ quick_t $ seed_t)
 
 (* ---- explain: route one connection and show the decision ---------------- *)
 
@@ -775,7 +766,7 @@ let explain_cmd =
           routes, each link's cost decomposed into Q-penalty, conflict term \
           and epsilon tie-break (rows sum bit-exactly to the search cost).")
     Term.(
-      const run $ telemetry_t $ jobs_t $ degree_t $ traffic_t
+      const run $ obs_t $ jobs_t $ degree_t $ traffic_t
       $ lambda_t ~default:0.5 $ scheme_t $ src_t $ dst_t $ bw_t $ top_t $ dot_t
       $ chain_t $ srlg_size_t $ quick_t $ seed_t)
 
@@ -960,7 +951,7 @@ let serve_cmd =
           admission service, with interleaved what-if queries and failure \
           probes; reports sustained admissions/sec and latency quantiles.")
     Term.(
-      const run $ telemetry_t $ jobs_t $ degree_t $ traffic_t
+      const run $ obs_t $ jobs_t $ degree_t $ traffic_t
       $ lambda_t ~default:0.4 $ scheme_t $ batch_t $ reorder_t
       $ what_if_every_t $ what_if_burst_t $ probe_every_t $ check_every_t
       $ quick_t $ smoke_t $ wal_t $ checkpoint_every_t $ crash_every_t
@@ -1042,7 +1033,7 @@ let recover_cmd =
           digest — compare with the serve run's $(b,digest=) line to verify \
           crash-recovery equivalence.")
     Term.(
-      const run $ telemetry_t $ degree_t $ scheme_t $ quick_t $ smoke_t
+      const run $ obs_t $ degree_t $ scheme_t $ quick_t $ smoke_t
       $ wal_t $ seed_t)
 
 (* ---- check-routing: fast path vs reference oracle ----------------------- *)
@@ -1122,7 +1113,7 @@ let check_routing_cmd =
           bit-exact per-link cost decompositions between $(b,Routing) and \
           $(b,Routing_reference).  Exits non-zero on any divergence.")
     Term.(
-      const run $ telemetry_t $ jobs_t $ graphs_t $ nodes_t $ admissions_t
+      const run $ obs_t $ jobs_t $ graphs_t $ nodes_t $ admissions_t
       $ degree_t $ seed_t)
 
 (* ---- chaos: robustness sweep under control-plane loss + repair churn ----- *)
@@ -1195,7 +1186,7 @@ let chaos_cmd =
           repair-churn grid, with lossy failure reports and activation \
           signals and the manager's reprotection queue.")
     Term.(
-      const run $ telemetry_t $ jobs_t $ degree_t $ traffic_t
+      const run $ obs_t $ jobs_t $ degree_t $ traffic_t
       $ lambda_t ~default:0.5 $ scheme_t $ losses_t $ mtbfs_t $ mttr_t
       $ no_queue_t $ baseline_t $ quick_t $ seed_t)
 
@@ -1292,7 +1283,7 @@ let srlg_cmd =
           how much deeper SRLG-disjoint chains win back, plus the \
           acceptance-ratio cost of the generalised spare rule.")
     Term.(
-      const run $ telemetry_t $ jobs_t $ degree_t $ traffic_t
+      const run $ obs_t $ jobs_t $ degree_t $ traffic_t
       $ lambda_t ~default:0.5 $ scheme_t $ ks_t $ sizes_t $ mtbf_t $ mttr_t
       $ regional_t $ overlay_t $ baseline_t $ quick_t $ seed_t)
 
@@ -1399,7 +1390,7 @@ let shard_cmd =
           diverges from the omniscient choice, over a shard-count x \
           LSA-interval x loss grid.")
     Term.(
-      const run $ telemetry_t $ jobs_t $ degree_t $ traffic_t
+      const run $ obs_t $ jobs_t $ degree_t $ traffic_t
       $ lambda_t ~default:0.5 $ scheme_t $ shards_t $ intervals_t $ losses_t
       $ refresh_t $ flood_delay_t $ hop_delay_t $ retries_t $ backups_t
       $ baseline_t $ quick_t $ seed_t)
@@ -1571,14 +1562,11 @@ let inspect_cmd =
               "# warning: ring overwrote %d events before export — the \
                journal is a suffix of the run; traces may be incomplete@."
               !ring_dropped;
-          Format.printf "@.@[<v># events by kind@,";
-          List.iter
-            (fun k ->
-              match Hashtbl.find_opt kind_counts k with
-              | Some c -> Format.printf "%-18s %8d@," k c
-              | None -> ())
-            Journal.all_kinds;
-          Format.printf "@]@.";
+          print_kind_counts
+            (List.map
+               (fun k ->
+                 (k, Option.value ~default:0 (Hashtbl.find_opt kind_counts k)))
+               Journal.all_kinds);
           let ranked tbl =
             List.sort compare
               (Hashtbl.fold (fun l (v, x) acc -> (-.v, l, x) :: acc) tbl [])
@@ -1753,7 +1741,7 @@ let inspect_cmd =
          "Summarise a flight-recorder journal (written with $(b,--journal)): \
           event histogram, top contended links, spare-capacity high-water \
           marks and the recovery-latency phase breakdown.")
-    Term.(const run $ telemetry_t $ file_t $ check_t $ top_t)
+    Term.(const run $ obs_t $ file_t $ check_t $ top_t)
 
 (* ---- trace: causal-trace assembly and critical-path report -------------- *)
 
@@ -1832,7 +1820,7 @@ let trace_cmd =
           with p50/p95/p99 quantiles, the slowest traces spelled out, \
           optional Perfetto (Chrome trace-event) export, and a structural \
           validation mode ($(b,--check)).")
-    Term.(const run $ telemetry_t $ file_t $ perfetto_t $ check_t $ top_t)
+    Term.(const run $ obs_t $ file_t $ perfetto_t $ check_t $ top_t)
 
 let default_info =
   Cmd.info "drtp_sim" ~version:"1.0.0"
@@ -1844,7 +1832,7 @@ let () =
   (* Surface silent flooding degradation: a truncated flood means BF routed
      on an incomplete candidate set.  Warn once per process (floods may run
      on worker domains, hence the atomic latch); every occurrence is also
-     journalled as a [flood-truncated] event and counted in telemetry. *)
+     journalled as a [flood-truncated] event. *)
   let truncation_warned = Atomic.make false in
   (Dr_flood.Bounded_flood.on_truncated :=
      fun ~src ~dst ~messages ->

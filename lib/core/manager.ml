@@ -1,9 +1,5 @@
 module J = Dr_obs.Journal
 module C = Dr_obs.Journal.Causal
-module Tm = Dr_telemetry.Telemetry
-
-let c_reprotect_queued = Tm.Counter.make "manager.reprotect.queued"
-let c_reprotect_drained = Tm.Counter.make "manager.reprotect.drained"
 
 type stats = {
   mutable requests : int;
@@ -241,7 +237,6 @@ let queue_reprotect t ~id ~scheme ?(backup_count = 1) ~now () =
               };
             ];
         t.rstats.queued <- t.rstats.queued + 1;
-        Tm.Counter.incr c_reprotect_queued;
         if !J.on then
           J.record
             (J.Reprotect_queued { conn = id; pending = List.length t.reprotect })
@@ -268,7 +263,6 @@ let drain_reprotect t ~now =
               (* Re-protected by some other path (e.g. a later step 4). *)
               incr drained;
               t.rstats.drained <- t.rstats.drained + 1;
-              Tm.Counter.incr c_reprotect_drained;
               settle e;
               false
             end
@@ -288,7 +282,6 @@ let drain_reprotect t ~now =
                   | kept ->
                       incr drained;
                       t.rstats.drained <- t.rstats.drained + 1;
-                      Tm.Counter.incr c_reprotect_drained;
                       settle e;
                       if !J.on then
                         J.record

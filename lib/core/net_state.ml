@@ -1,13 +1,7 @@
 module Graph = Dr_topo.Graph
 module Path = Dr_topo.Path
 module Srlg = Dr_resilience.Srlg
-module Tm = Dr_telemetry.Telemetry
 module J = Dr_obs.Journal
-
-(* Telemetry: APLV register/unregister traffic (the LSR schemes' signalling
-   cost) and conflict-vector packings (D-LSR's advertisement payload). *)
-let c_aplv_updates = Tm.Counter.make "net_state.aplv.updates"
-let c_cv_builds = Tm.Counter.make "net_state.cv.builds"
 
 type spare_policy = Multiplexed | Dedicated
 
@@ -103,7 +97,6 @@ let conflict_count_arr t ~link ~edges ~n =
   !acc
 
 let conflict_vector t l =
-  Tm.Counter.incr c_cv_builds;
   Conflict_vector.of_aplv t.aplv.(l) ~domains:(Graph.edge_count t.graph)
 
 let edge_lset_of_path p = Path.Link_set.elements (Path.edge_set p)
@@ -175,7 +168,6 @@ let register_backup t ~bw ~primary_edges ~backup_path =
     (fun l ->
       Aplv.register t.aplv.(l) ~edge_lset:primary_edges;
       t.aplv_updates <- t.aplv_updates + 1;
-      Tm.Counter.incr c_aplv_updates;
       let counts = t.conflict_counts.(l) in
       List.iter
         (fun e ->
@@ -198,7 +190,6 @@ let unregister_backup t ~bw ~primary_edges ~backup_path =
     (fun l ->
       Aplv.unregister t.aplv.(l) ~edge_lset:primary_edges;
       t.aplv_updates <- t.aplv_updates + 1;
-      Tm.Counter.incr c_aplv_updates;
       let counts = t.conflict_counts.(l) in
       List.iter
         (fun e ->
@@ -639,10 +630,9 @@ end
    derived structure (APLVs, both PR 4 mirrors, SRLG spare weights, backup
    totals, primary index) by replaying the registration {e arithmetic}
    only: no spare-pool adjustment (pools are blitted verbatim afterwards),
-   no telemetry, no journal events.  APLV registration is commutative
-   hashtable arithmetic and every digest-visible read of it is sorted or
-   aggregate, so the rebuilt state is bit-identical under the accessor
-   digest. *)
+   no journal events.  APLV registration is commutative hashtable
+   arithmetic and every digest-visible read of it is sorted or aggregate,
+   so the rebuilt state is bit-identical under the accessor digest. *)
 
 module Serial = struct
   type conn_repr = {

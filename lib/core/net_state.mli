@@ -291,9 +291,9 @@ module Serial : sig
 
   val restore : t -> repr -> unit
   (** Overwrite a same-topology state, in place, with the dumped truth.
-      Emits no journal events and touches no telemetry counters.  Raises
-      [Invalid_argument] on a topology shape mismatch or if a dumped route
-      is not a valid path of the state's graph. *)
+      Emits no journal events.  Raises [Invalid_argument] on a topology
+      shape mismatch or if a dumped route is not a valid path of the
+      state's graph. *)
 end
 
 (** {1 Integrity} *)

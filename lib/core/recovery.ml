@@ -1,30 +1,9 @@
 module Graph = Dr_topo.Graph
 module Path = Dr_topo.Path
-module Tm = Dr_telemetry.Telemetry
 module J = Dr_obs.Journal
 module C = Dr_obs.Journal.Causal
 module Faults = Dr_faults.Faults
 module Backoff = Dr_faults.Backoff
-
-(* Telemetry: recovery outcomes per victim connection and the latency
-   distributions the E1 extension reports.  Activation latencies live in
-   [0, ~0.1 s] with the default timing constants, hence the histogram
-   range. *)
-let c_switched = Tm.Counter.make "recovery.switched"
-let c_rerouted = Tm.Counter.make "recovery.rerouted"
-let c_lost = Tm.Counter.make "recovery.lost"
-let c_reprotected = Tm.Counter.make "recovery.reprotected"
-let c_backup_rerouted = Tm.Counter.make "recovery.backup.rerouted"
-let c_backup_unprotected = Tm.Counter.make "recovery.backup.unprotected"
-let c_reattempts = Tm.Counter.make "recovery.reestablish.attempts"
-let c_msg_dropped = Tm.Counter.make "recovery.msg.dropped"
-let c_retransmits = Tm.Counter.make "recovery.msg.retransmits"
-let c_fallback_reroutes = Tm.Counter.make "recovery.fallback.reroutes"
-let c_group_failures = Tm.Counter.make "recovery.group.failures"
-let c_chain_failover = Tm.Counter.make "recovery.chain.failover"
-let c_chain_exhausted = Tm.Counter.make "recovery.chain.exhausted"
-let t_activation = Tm.Timer.make ~hist:(0.0, 0.1, 20) "recovery.activation_latency"
-let t_reroute = Tm.Timer.make "recovery.reroute_latency"
 
 type timing = {
   detection_delay : float;
@@ -133,7 +112,6 @@ let transmit ~faults ~retrans ~cls ~id ~dropped ~resent ~span ~at =
         if Faults.deliver f cls then (true, Backoff.total_before b ~attempt)
         else begin
           incr dropped;
-          Tm.Counter.incr c_msg_dropped;
           if !J.on then
             J.record (J.Message_dropped { cls = Faults.cls_name cls; id });
           if Backoff.exhausted b ~attempt then begin
@@ -147,7 +125,6 @@ let transmit ~faults ~retrans ~cls ~id ~dropped ~resent ~span ~at =
           end
           else begin
             incr resent;
-            Tm.Counter.incr c_retransmits;
             if !J.on then begin
               J.record
                 (J.Retransmit
@@ -190,7 +167,6 @@ let fail_edge_drtp state ~scheme ?(timing = default_timing) ?(reconfigure = true
         let wire = timing.link_delay *. float_of_int (Path.hops p) in
         let latency = spent +. timing.route_computation +. wire in
         ignore (Net_state.admit state ~id:conn.id ~bw:conn.bw ~primary:p ~backups:[]);
-        Tm.Counter.incr c_fallback_reroutes;
         fallback_unprotected := conn.id :: !fallback_unprotected;
         if !J.on then begin
           C.leaf ~parent:sp_root ~conn:conn.id ~t0:(base +. spent)
@@ -362,23 +338,12 @@ let fail_edge_drtp state ~scheme ?(timing = default_timing) ?(reconfigure = true
     List.map
       (fun (id, tag) ->
         match tag with
-        | `Lost latency ->
-            Tm.Counter.incr c_lost;
-            (id, Lost { latency })
-        | `Fell_back latency ->
-            Tm.Counter.incr c_rerouted;
-            Tm.Timer.record t_reroute latency;
-            (id, Rerouted { latency; retries = 0 })
+        | `Lost latency -> (id, Lost { latency })
+        | `Fell_back latency -> (id, Rerouted { latency; retries = 0 })
         | `Switched latency ->
-            Tm.Counter.incr c_switched;
-            Tm.Timer.record t_activation latency;
-            let reprotected = Hashtbl.mem reprotected id in
-            if reprotected then Tm.Counter.incr c_reprotected;
-            (id, Switched { latency; reprotected }))
+            (id, Switched { latency; reprotected = Hashtbl.mem reprotected id }))
       tagged
   in
-  Tm.Counter.add c_backup_rerouted !rerouted;
-  Tm.Counter.add c_backup_unprotected !unprotected;
   {
     edge;
     failed_edges = [ edge ];
@@ -453,7 +418,6 @@ let fail_edge_local_detour state ?(timing = default_timing) ~edge () =
         | None ->
             let latency = timing.detection_delay +. timing.route_computation in
             Net_state.drop state ~id:conn.id;
-            Tm.Counter.incr c_lost;
             if !J.on then begin
               lost_phases latency;
               J.record (J.Connection_lost { conn = conn.id; latency })
@@ -481,8 +445,6 @@ let fail_edge_local_detour state ?(timing = default_timing) ~edge () =
                let latency =
                  timing.detection_delay +. timing.route_computation +. wire
                in
-               Tm.Counter.incr c_rerouted;
-               Tm.Timer.record t_reroute latency;
                if !J.on then begin
                  C.leaf ~parent:sp_root ~conn:conn.id ~t0:base
                    ~dur:timing.detection_delay "detect";
@@ -500,7 +462,6 @@ let fail_edge_local_detour state ?(timing = default_timing) ~edge () =
              with Invalid_argument _ ->
                let latency = timing.detection_delay +. timing.route_computation in
                Net_state.drop state ~id:conn.id;
-               Tm.Counter.incr c_lost;
                if !J.on then begin
                  lost_phases latency;
                  J.record (J.Connection_lost { conn = conn.id; latency })
@@ -571,7 +532,6 @@ let fail_edge_reactive state ?(timing = default_timing) ~edge () =
             ~dur:rct "route-comp"
         in
         let rec attempt n =
-          Tm.Counter.incr c_reattempts;
           let spent =
             notify
             +. Backoff.total_before backoff ~attempt:n
@@ -582,8 +542,6 @@ let fail_edge_reactive state ?(timing = default_timing) ~edge () =
               let wire = timing.link_delay *. float_of_int (Path.hops p) in
               let latency = spent +. wire in
               ignore (Net_state.admit state ~id:conn.id ~bw ~primary:p ~backups:[]);
-              Tm.Counter.incr c_rerouted;
-              Tm.Timer.record t_reroute latency;
               if !J.on then begin
                 backoff_phases n;
                 C.leaf ~parent:sp_root ~conn:conn.id ~t0:(base +. spent)
@@ -594,7 +552,6 @@ let fail_edge_reactive state ?(timing = default_timing) ~edge () =
               (conn.id, Rerouted { latency; retries = n })
           | None ->
               if Backoff.exhausted backoff ~attempt:n then begin
-                Tm.Counter.incr c_lost;
                 if !J.on then begin
                   backoff_phases n;
                   C.close sp_root ~dur:spent;
@@ -638,7 +595,6 @@ let fail_edges_drtp state ~scheme ?(timing = default_timing)
   (match group with
   | Some group -> Net_state.fail_group state ~group
   | None -> List.iter (fun edge -> Net_state.fail_edge state ~edge) edges);
-  Tm.Counter.incr c_group_failures;
   let victims = Net_state.primaries_crossing_edges state ~edges in
   let broken_backups = ref [] in
   Net_state.iter_conns state (fun c ->
@@ -664,7 +620,6 @@ let fail_edges_drtp state ~scheme ?(timing = default_timing)
         let wire = timing.link_delay *. float_of_int (Path.hops p) in
         let latency = spent +. timing.route_computation +. wire in
         ignore (Net_state.admit state ~id:conn.id ~bw:conn.bw ~primary:p ~backups:[]);
-        Tm.Counter.incr c_fallback_reroutes;
         fallback_unprotected := conn.id :: !fallback_unprotected;
         if !J.on then begin
           C.leaf ~parent:sp_root ~conn:conn.id ~t0:(base +. spent)
@@ -746,7 +701,6 @@ let fail_edges_drtp state ~scheme ?(timing = default_timing)
                   let activation = wasted +. act_extra +. wire in
                   let latency = notify +. activation in
                   Net_state.promote_backup state ~id:conn.id ~index ();
-                  Tm.Counter.incr c_chain_failover;
                   if !J.on then begin
                     let sp_act =
                       C.child ~parent:sp_root ~conn:conn.id
@@ -788,7 +742,6 @@ let fail_edges_drtp state ~scheme ?(timing = default_timing)
                      else tries)
                     true
             | None ->
-                Tm.Counter.incr c_chain_exhausted;
                 if !J.on then J.record (J.Chain_exhausted { conn = conn.id });
                 if tried then begin
                   if !J.on then
@@ -862,23 +815,12 @@ let fail_edges_drtp state ~scheme ?(timing = default_timing)
     List.map
       (fun (id, tag) ->
         match tag with
-        | `Lost latency ->
-            Tm.Counter.incr c_lost;
-            (id, Lost { latency })
-        | `Fell_back latency ->
-            Tm.Counter.incr c_rerouted;
-            Tm.Timer.record t_reroute latency;
-            (id, Rerouted { latency; retries = 0 })
+        | `Lost latency -> (id, Lost { latency })
+        | `Fell_back latency -> (id, Rerouted { latency; retries = 0 })
         | `Switched latency ->
-            Tm.Counter.incr c_switched;
-            Tm.Timer.record t_activation latency;
-            let reprotected = Hashtbl.mem reprotected id in
-            if reprotected then Tm.Counter.incr c_reprotected;
-            (id, Switched { latency; reprotected }))
+            (id, Switched { latency; reprotected = Hashtbl.mem reprotected id }))
       tagged
   in
-  Tm.Counter.add c_backup_rerouted !rerouted;
-  Tm.Counter.add c_backup_unprotected !unprotected;
   {
     edge = (match edges with e :: _ -> e | [] -> -1);
     failed_edges = edges;

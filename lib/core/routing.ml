@@ -2,21 +2,7 @@ module Graph = Dr_topo.Graph
 module Path = Dr_topo.Path
 module Shortest_path = Dr_topo.Shortest_path
 module Srlg = Dr_resilience.Srlg
-module Tm = Dr_telemetry.Telemetry
 module J = Dr_obs.Journal
-
-(* Telemetry: route-computation timers (one per scheme) and the causes of
-   infeasibility, both per candidate link and per request. *)
-let t_find_primary = Tm.Timer.make "routing.find_primary"
-let t_find_backup = Tm.Timer.make "routing.find_backup"
-let t_route_plsr = Tm.Timer.make "routing.route.P-LSR"
-let t_route_dlsr = Tm.Timer.make "routing.route.D-LSR"
-let t_route_spf = Tm.Timer.make "routing.route.SPF"
-let c_link_dead = Tm.Counter.make "routing.link.rejected.dead"
-let c_link_no_bw = Tm.Counter.make "routing.link.rejected.bandwidth"
-let c_accepted = Tm.Counter.make "routing.accepted"
-let c_reject_no_primary = Tm.Counter.make "routing.reject.no_primary"
-let c_reject_no_backup = Tm.Counter.make "routing.reject.no_backup"
 
 type scheme = Plsr | Dlsr | Spf
 
@@ -36,19 +22,18 @@ let link_alive state l =
   not (Net_state.edge_failed state ~edge:(Graph.edge_of_link l))
 
 let find_primary state ~src ~dst ~bw =
-  Tm.Timer.time t_find_primary (fun () ->
-      let result =
-        let resources = Net_state.resources state in
-        let usable l =
-          link_alive state l && Resources.primary_feasible resources ~link:l ~bw
-        in
-        Shortest_path.min_hop_path (Net_state.graph state) ~usable ~src ~dst ()
-      in
-      (match result with
-      | Some p when !J.on ->
-          J.record (J.Primary_chosen { src; dst; bw; links = Path.links p })
-      | Some _ | None -> ());
-      result)
+  let result =
+    let resources = Net_state.resources state in
+    let usable l =
+      link_alive state l && Resources.primary_feasible resources ~link:l ~bw
+    in
+    Shortest_path.min_hop_path (Net_state.graph state) ~usable ~src ~dst ()
+  in
+  (match result with
+  | Some p when !J.on ->
+      J.record (J.Primary_chosen { src; dst; bw; links = Path.links p })
+  | Some _ | None -> ());
+  result
 
 type cost_parts = { q : float; conflict : float; eps : float }
 
@@ -171,12 +156,7 @@ let backup_link_cost_general scheme state ~primary ~earlier_backups ~bw =
   in
   fun l ->
     match verdict l with
-    | Dead ->
-        Tm.Counter.incr c_link_dead;
-        infinity
-    | No_bandwidth _ ->
-        Tm.Counter.incr c_link_no_bw;
-        infinity
+    | Dead | No_bandwidth _ -> infinity
     | Cost p -> parts_total p
 
 let backup_link_cost scheme state ~primary ~bw =
@@ -308,14 +288,9 @@ let fast_backup_link_cost scheme state ~primary ~earlier_backups ~bw =
       + if earl_link.(l) = ep then earl_n.(l) else 0
     in
     let required = bw * (1 + own_shares) in
-    if not (link_alive state l) then begin
-      Tm.Counter.incr c_link_dead;
+    if not (link_alive state l) then infinity
+    else if not (Resources.backup_feasible resources ~link:l ~bw:required) then
       infinity
-    end
-    else if not (Resources.backup_feasible resources ~link:l ~bw:required) then begin
-      Tm.Counter.incr c_link_no_bw;
-      infinity
-    end
     else
       let e = Graph.edge_of_link l in
       let q =
@@ -375,33 +350,30 @@ let journal_backup_chosen scheme state ~primary ~earlier_backups ~bw path =
        })
 
 let find_backup_general ?max_hops scheme state ~primary ~earlier_backups ~bw =
-  Tm.Timer.time t_find_backup (fun () ->
-      let cost =
-        fast_backup_link_cost scheme state ~primary ~earlier_backups ~bw
-      in
-      let graph = Net_state.graph state in
-      let src = Path.src primary and dst = Path.dst primary in
-      let found =
-        match max_hops with
-        | None -> (
-            match Shortest_path.dijkstra_path graph ~cost ~src ~dst with
-            | None -> None
-            | Some (_, p) -> Some p)
-        | Some h -> (
-            (* QoS-bounded backup (paper §2: a backup longer than the delay
-               budget allows is useless): cheapest conflict cost within the hop
-               budget. *)
-            match Dr_topo.Constrained_path.cheapest_within_hops graph ~cost ~src
-                    ~dst ~max_hops:h
-            with
-            | None -> None
-            | Some (_, p) -> Some p)
-      in
-      (match found with
-      | Some p when !J.on ->
-          journal_backup_chosen scheme state ~primary ~earlier_backups ~bw p
-      | Some _ | None -> ());
-      found)
+  let cost = fast_backup_link_cost scheme state ~primary ~earlier_backups ~bw in
+  let graph = Net_state.graph state in
+  let src = Path.src primary and dst = Path.dst primary in
+  let found =
+    match max_hops with
+    | None -> (
+        match Shortest_path.dijkstra_path graph ~cost ~src ~dst with
+        | None -> None
+        | Some (_, p) -> Some p)
+    | Some h -> (
+        (* QoS-bounded backup (paper §2: a backup longer than the delay
+           budget allows is useless): cheapest conflict cost within the hop
+           budget. *)
+        match Dr_topo.Constrained_path.cheapest_within_hops graph ~cost ~src
+                ~dst ~max_hops:h
+        with
+        | None -> None
+        | Some (_, p) -> Some p)
+  in
+  (match found with
+  | Some p when !J.on ->
+      journal_backup_chosen scheme state ~primary ~earlier_backups ~bw p
+  | Some _ | None -> ());
+  found
 
 let find_backup ?max_hops scheme state ~primary ~bw =
   find_backup_general ?max_hops scheme state ~primary ~earlier_backups:[] ~bw
@@ -496,31 +468,30 @@ let collect_chain ?max_hops scheme state ~primary ~bw ~count ~existing =
        outright, so a hit is fully SRLG-disjoint from the primary and
        from every earlier chain member. *)
     let find_strict earlier =
-      Tm.Timer.time t_find_backup (fun () ->
-          let base =
-            fast_backup_link_cost scheme state ~primary
-              ~earlier_backups:earlier ~bw
-          in
-          let cost l =
-            if
-              Array.exists
-                (fun g -> banned.(g))
-                (Srlg.groups_of_edge_arr srlg (Graph.edge_of_link l))
-            then infinity
-            else base l
-          in
-          match max_hops with
-          | None -> (
-              match Shortest_path.dijkstra_path graph ~cost ~src ~dst with
-              | None -> None
-              | Some (_, p) -> Some p)
-          | Some h -> (
-              match
-                Dr_topo.Constrained_path.cheapest_within_hops graph ~cost ~src
-                  ~dst ~max_hops:h
-              with
-              | None -> None
-              | Some (_, p) -> Some p))
+      let base =
+        fast_backup_link_cost scheme state ~primary
+          ~earlier_backups:earlier ~bw
+      in
+      let cost l =
+        if
+          Array.exists
+            (fun g -> banned.(g))
+            (Srlg.groups_of_edge_arr srlg (Graph.edge_of_link l))
+        then infinity
+        else base l
+      in
+      match max_hops with
+      | None -> (
+          match Shortest_path.dijkstra_path graph ~cost ~src ~dst with
+          | None -> None
+          | Some (_, p) -> Some p)
+      | Some h -> (
+          match
+            Dr_topo.Constrained_path.cheapest_within_hops graph ~cost ~src
+              ~dst ~max_hops:h
+          with
+          | None -> None
+          | Some (_, p) -> Some p)
     in
     let rec collect earlier fresh rank k =
       if k = 0 then List.rev fresh
@@ -596,57 +567,31 @@ type route_pair = { primary : Path.t; backups : Path.t list }
 type route_fn =
   Net_state.t -> src:int -> dst:int -> bw:int -> (route_pair, reject_reason) result
 
-let route_timer = function
-  | Plsr -> t_route_plsr
-  | Dlsr -> t_route_dlsr
-  | Spf -> t_route_spf
-
-let count_route_result = function
-  | Ok _ -> Tm.Counter.incr c_accepted
-  | Error No_primary -> Tm.Counter.incr c_reject_no_primary
-  | Error No_backup -> Tm.Counter.incr c_reject_no_backup
-
 let link_state_route_fn ?(backup_count = 1) ?backup_hop_slack scheme ~with_backup
     : route_fn =
  fun state ~src ~dst ~bw ->
-  let result =
-    Tm.Timer.time (route_timer scheme) (fun () ->
-        match find_primary state ~src ~dst ~bw with
-        | None -> Error No_primary
-        | Some primary ->
-            if not with_backup then Ok { primary; backups = [] }
-            else (
-              let max_hops =
-                Option.map
-                  (fun slack -> Path.hops primary + slack)
-                  backup_hop_slack
-              in
-              match
-                find_backups ?max_hops scheme state ~primary ~bw
-                  ~count:backup_count
-              with
-              | [] -> Error No_backup
-              | backups -> Ok { primary; backups }))
-  in
-  count_route_result result;
-  result
+  match find_primary state ~src ~dst ~bw with
+  | None -> Error No_primary
+  | Some primary ->
+      if not with_backup then Ok { primary; backups = [] }
+      else (
+        let max_hops =
+          Option.map (fun slack -> Path.hops primary + slack) backup_hop_slack
+        in
+        match
+          find_backups ?max_hops scheme state ~primary ~bw ~count:backup_count
+        with
+        | [] -> Error No_backup
+        | backups -> Ok { primary; backups })
 
 let chain_route_fn ?(k = 1) ?backup_hop_slack scheme : route_fn =
  fun state ~src ~dst ~bw ->
-  let result =
-    Tm.Timer.time (route_timer scheme) (fun () ->
-        match find_primary state ~src ~dst ~bw with
-        | None -> Error No_primary
-        | Some primary -> (
-            let max_hops =
-              Option.map
-                (fun slack -> Path.hops primary + slack)
-                backup_hop_slack
-            in
-            match find_backup_chain ?max_hops scheme state ~primary ~bw ~k with
-            | [] -> Error No_backup
-            | chain ->
-                Ok { primary; backups = List.map (fun m -> m.cm_path) chain }))
-  in
-  count_route_result result;
-  result
+  match find_primary state ~src ~dst ~bw with
+  | None -> Error No_primary
+  | Some primary -> (
+      let max_hops =
+        Option.map (fun slack -> Path.hops primary + slack) backup_hop_slack
+      in
+      match find_backup_chain ?max_hops scheme state ~primary ~bw ~k with
+      | [] -> Error No_backup
+      | chain -> Ok { primary; backups = List.map (fun m -> m.cm_path) chain })

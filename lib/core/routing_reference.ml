@@ -11,9 +11,8 @@
    reports the fast path's speedup against it.
 
    Two deliberate deltas from the historical code, neither observable in
-   results: telemetry probes and flight-recorder hooks are stripped (the
-   oracle must not double-count admissions or double-journal routes when
-   run next to the live path), and the pre-workspace BFS/Dijkstra bodies
+   results: flight-recorder hooks are stripped (the oracle must not
+   double-journal routes when run next to the live path), and the pre-workspace BFS/Dijkstra bodies
    are inlined here instead of calling {!Dr_topo.Shortest_path} (whose
    single-pair queries now run on the fast workspaces). *)
 

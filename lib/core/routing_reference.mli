@@ -5,9 +5,9 @@
     {!Routing}'s, so values interoperate), but every query is computed the
     slow, obviously-correct way: fresh search arrays per call, set-based
     membership, scheme cost terms recomputed from the per-link {!Aplv.t}
-    rather than read from {!Net_state}'s incremental caches.  No
-    telemetry, no journal events: an oracle run must not perturb the
-    observability of the live path it is checked against.
+    rather than read from {!Net_state}'s incremental caches.  No journal
+    events: an oracle run must not perturb the observability of the live
+    path it is checked against.
 
     Used by the differential harness ({!Routing_check},
     [drtp_sim check-routing], the qcheck differential suite) and by the

@@ -1,10 +1,5 @@
 module Pqueue = Dr_pqueue.Pqueue
-module Tm = Dr_telemetry.Telemetry
 module J = Dr_obs.Journal
-
-(* Telemetry: dispatch throughput and the queue-depth high-water mark. *)
-let c_events = Tm.Counter.make "engine.events_dispatched"
-let g_depth = Tm.Gauge.make "engine.queue_depth"
 
 type 'e t = { queue : 'e Pqueue.t; mutable clock : float }
 
@@ -15,8 +10,7 @@ let pending t = Pqueue.length t.queue
 
 let schedule t ~at event =
   if at < t.clock then invalid_arg "Engine.schedule: event in the past";
-  Pqueue.add t.queue ~key:at event;
-  if !Tm.on then Tm.Gauge.set g_depth (float_of_int (Pqueue.length t.queue))
+  Pqueue.add t.queue ~key:at event
 
 let schedule_after t ~delay event =
   if delay < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
@@ -26,10 +20,6 @@ let step t ~handler =
   match Pqueue.pop t.queue with
   | None -> false
   | Some (at, event) ->
-      if !Tm.on then begin
-        Tm.Counter.incr c_events;
-        Tm.Gauge.set g_depth (float_of_int (Pqueue.length t.queue))
-      end;
       t.clock <- at;
       if !J.on then J.set_now at;
       handler t event;

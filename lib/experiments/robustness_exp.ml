@@ -7,7 +7,6 @@ module Recovery = Drtp.Recovery
 module Routing = Drtp.Routing
 module Faults = Dr_faults.Faults
 module Pool = Dr_parallel.Pool
-module J = Dr_obs.Journal
 module Summary = Dr_stats.Summary
 
 type row = {
@@ -139,32 +138,8 @@ let run ?pool (cfg : Config.t) ~avg_degree ~traffic ~lambda ~scheme
     run_cell cfg ~avg_degree ~traffic ~lambda ~scheme ~loss ~mtbf ~mttr
       ~seed:(cell_seed ~seed i) ~queue ~fault_layer ()
   in
-  (* Same deterministic journal merge as {!Runner.run_many}: each cell
-     records into a private buffer, re-appended in task-index order, so the
-     merged journal is byte-identical for any [--jobs] count. *)
   let results =
-    if not !J.on then
-      match pool with
-      | Some pool -> Pool.map pool f tasks
-      | None -> Pool.with_pool ~jobs:1 (fun pool -> Pool.map pool f tasks)
-    else begin
-      let coordinator = J.current () in
-      let g ((i, _) as task) =
-        J.capture ~trace_seed:(cell_seed ~seed i) (fun () -> f task)
-      in
-      let merge _i = function
-        | Ok (_, journal_entries) -> J.append_entries coordinator journal_entries
-        | Error _ -> ()
-      in
-      let res =
-        match pool with
-        | Some pool -> Pool.map ~on_result:merge pool g tasks
-        | None ->
-            Pool.with_pool ~jobs:1 (fun pool ->
-                Pool.map ~on_result:merge pool g tasks)
-      in
-      Array.map (function Ok (m, _) -> Ok m | Error e -> Error e) res
-    end
+    Runner.map_captured ?pool ~trace_seed:(cell_seed ~seed) f tasks
   in
   Array.to_list
     (Array.map

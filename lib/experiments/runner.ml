@@ -7,14 +7,8 @@ module Failure_eval = Drtp.Failure_eval
 module Resources = Drtp.Resources
 module Bounded_flood = Dr_flood.Bounded_flood
 module Path = Dr_topo.Path
-module Tm = Dr_telemetry.Telemetry
 module Pool = Dr_parallel.Pool
 module J = Dr_obs.Journal
-
-(* Telemetry: the per-snapshot fault-tolerance evaluation dominates a
-   measured run's wall time; each replay is one traced span. *)
-let t_snapshot = Tm.Timer.make "runner.snapshot"
-let c_snapshots = Tm.Counter.make "runner.snapshots"
 
 type scheme_spec =
   | Lsr of Routing.scheme
@@ -94,9 +88,6 @@ let load_state ?srlg (cfg : Config.t) ~graph ~scenario ~scheme ~until =
   Manager.state manager
 
 let run (cfg : Config.t) ~graph ~scenario ~scheme =
-  Tm.Span.with_ ~name:"runner.run"
-    ~attrs:[ ("scheme", Tm.String (scheme_label scheme)) ]
-  @@ fun () ->
   let flood_stats = Bounded_flood.fresh_stats () in
   let spare_policy = spare_policy_of scheme in
   let base_route : Routing.route_fn = route_fn_of cfg scheme graph flood_stats in
@@ -126,8 +117,6 @@ let run (cfg : Config.t) ~graph ~scenario ~scheme =
   let total_capacity = float_of_int (Resources.total_capacity (Net_state.resources state)) in
   let take_snapshot () =
     incr snapshots;
-    Tm.Counter.incr c_snapshots;
-    Tm.Timer.time t_snapshot @@ fun () ->
     let r = Failure_eval.evaluate state in
     attempts := !attempts + r.Failure_eval.attempts;
     successes := !successes + r.Failure_eval.successes;
@@ -214,46 +203,44 @@ let run (cfg : Config.t) ~graph ~scenario ~scheme =
 
 (* ---- parallel submission ------------------------------------------------ *)
 
+(* Captures are merged from [on_result], which the pool invokes on the
+   coordinating domain in strict task-index order: that is what makes the
+   merged journal independent of [--jobs]. *)
+let map_captured ?pool ?on_result ~trace_seed f tasks =
+  let map ?on_result g items =
+    match pool with
+    | Some pool -> Pool.map ?on_result pool g items
+    | None ->
+        Pool.with_pool ~jobs:1 (fun pool -> Pool.map ?on_result pool g items)
+  in
+  if not !J.on then map ?on_result f tasks
+  else begin
+    let coordinator = J.current () in
+    let strip = function Ok (v, _) -> Ok v | Error e -> Error e in
+    let merge i r =
+      (match r with Ok (_, c) -> J.merge coordinator c | Error _ -> ());
+      Option.iter (fun g -> g i (strip r)) on_result
+    in
+    let captured (i, task) =
+      J.capture ~trace_seed:(trace_seed i) (fun () -> f task)
+    in
+    Array.map strip
+      (map ~on_result:merge captured (Array.mapi (fun i t -> (i, t)) tasks))
+  end
+
 (* One pool task per measured replay.  Tasks share only immutable inputs
    (the graph, the scenario — both read-only after construction), so they
    can run on any worker domain; results come back in submission order,
-   which keeps parallel sweeps bit-identical to sequential ones.
-
-   When the journal is on, each task records into a private buffer
-   ({!J.capture}, with sim time restarted at 0), and the captured entries
-   are re-appended to the coordinating domain's journal from [on_result] —
-   which the pool invokes in strict task-index order.  The merged journal
-   is therefore byte-identical for any [--jobs] count. *)
+   which keeps parallel sweeps bit-identical to sequential ones. *)
 let run_many ?pool ?on_result (cfg : Config.t) tasks =
-  let plain (graph, scenario, scheme) = run cfg ~graph ~scenario ~scheme in
-  if not !J.on then
-    match pool with
-    | Some pool -> Pool.map ?on_result pool plain tasks
-    | None -> Pool.with_pool ~jobs:1 (fun pool -> Pool.map ?on_result pool plain tasks)
-  else begin
-    let coordinator = J.current () in
-    (* Trace-id seeds must not depend on which worker domain runs which
-       task: reserve one epoch per task index here, before dispatch, so
-       the merged journal's trace ids are independent of [--jobs]. *)
-    let base = J.Causal.alloc_trace_epochs coordinator (Array.length tasks) in
-    let seeded = Array.mapi (fun i task -> (base + i, task)) tasks in
-    let f (seed, task) = J.capture ~trace_seed:seed (fun () -> plain task) in
-    let merge i r =
-      let forwarded =
-        match r with
-        | Ok (m, journal_entries) ->
-            J.append_entries coordinator journal_entries;
-            Ok m
-        | Error e -> Error e
-      in
-      match on_result with None -> () | Some g -> g i forwarded
-    in
-    let results =
-      match pool with
-      | Some pool -> Pool.map ~on_result:merge pool f seeded
-      | None ->
-          Pool.with_pool ~jobs:1 (fun pool ->
-              Pool.map ~on_result:merge pool f seeded)
-    in
-    Array.map (function Ok (m, _) -> Ok m | Error e -> Error e) results
-  end
+  (* Trace-id seeds must not depend on which worker domain runs which
+     task: reserve one epoch per task index here, before dispatch, so the
+     merged journal's trace ids are independent of [--jobs]. *)
+  let base =
+    if !J.on then J.Causal.alloc_trace_epochs (J.current ()) (Array.length tasks)
+    else 0
+  in
+  map_captured ?pool ?on_result
+    ~trace_seed:(fun i -> base + i)
+    (fun (graph, scenario, scheme) -> run cfg ~graph ~scenario ~scheme)
+    tasks

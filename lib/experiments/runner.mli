@@ -69,6 +69,22 @@ val run :
   measurement
 (** Replay [scenario] under [scheme].  Deterministic. *)
 
+val map_captured :
+  ?pool:Dr_parallel.Pool.t ->
+  ?on_result:(int -> ('b, Dr_parallel.Pool.error) result -> unit) ->
+  trace_seed:(int -> int) ->
+  ('a -> 'b) ->
+  'a array ->
+  ('b, Dr_parallel.Pool.error) result array
+(** [map_captured ~trace_seed f tasks] is [Dr_parallel.Pool.map f tasks]
+    (inline, single-job execution when [pool] is absent) with
+    deterministic journalling: while the journal is on, task [i] records
+    into its own {!Dr_obs.Journal.capture} with trace seed [trace_seed i],
+    and the captures are {!Dr_obs.Journal.merge}d into the calling
+    domain's buffer in task-index order, so the journal's bytes and totals
+    are identical for any job count.  [on_result] is invoked from the
+    calling domain in task order, after that task's merge. *)
+
 val run_many :
   ?pool:Dr_parallel.Pool.t ->
   ?on_result:(int -> (measurement, Dr_parallel.Pool.error) result -> unit) ->

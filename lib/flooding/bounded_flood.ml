@@ -4,20 +4,9 @@ module Pqueue = Dr_pqueue.Pqueue
 module Net_state = Drtp.Net_state
 module Resources = Drtp.Resources
 module Routing = Drtp.Routing
-module Tm = Dr_telemetry.Telemetry
 module J = Dr_obs.Journal
 module C = Dr_obs.Journal.Causal
 module Faults = Dr_faults.Faults
-
-(* Telemetry: per-flood message accounting (§4's CDP traffic is the
-   scheme's dominant cost) and the per-request discovery timer. *)
-let c_floods = Tm.Counter.make "flood.runs"
-let c_cdp_sent = Tm.Counter.make "flood.cdp.sent"
-let c_cdp_ttl = Tm.Counter.make "flood.cdp.ttl_expired"
-let c_cdp_dropped = Tm.Counter.make "flood.cdp.dropped"
-let c_cdp_lost = Tm.Counter.make "flood.cdp.lost"
-let c_truncated = Tm.Counter.make "flood.truncated"
-let t_discover = Tm.Timer.make "flood.discover"
 
 (* Truncation is a silent quality degradation: the flood stopped expanding
    at [cdp_cap], so the candidate set — and with it BF's route quality — is
@@ -68,8 +57,6 @@ let discover ?faults cfg state ~hop_matrix ~src ~dst ~bw =
   if cfg.rho < 1.0 || cfg.alpha < 1.0 || cfg.beta0 < 0 || cfg.beta1 < 0 then
     invalid_arg "Bounded_flood.discover: bad config";
   if src = dst then invalid_arg "Bounded_flood.discover: src = dst";
-  Tm.Counter.incr c_floods;
-  Tm.Timer.time t_discover @@ fun () ->
   let graph = Net_state.graph state in
   let resources = Net_state.resources state in
   let d_min = hop_matrix.(src).(dst) in
@@ -112,8 +99,6 @@ let discover ?faults cfg state ~hop_matrix ~src ~dst ~bw =
         Some { node = k; hc = m.hc + 1; primary_flag; visited = m.visited @ [ k ] }
       end
       else begin
-        if !Tm.on then
-          Tm.Counter.incr (if not distance_ok then c_cdp_ttl else c_cdp_dropped);
         if !J.on then begin
           let reason =
             if not distance_ok then "ttl"
@@ -134,12 +119,10 @@ let discover ?faults cfg state ~hop_matrix ~src ~dst ~bw =
             | None -> ()
             | Some m' -> (
                 incr messages;
-                Tm.Counter.incr c_cdp_sent;
                 (* The copy was transmitted (it costs a message either
                    way); the fault plan decides whether it arrives. *)
                 match faults with
                 | Some f when not (Faults.deliver f Faults.Cdp) ->
-                    Tm.Counter.incr c_cdp_lost;
                     if !J.on then
                       J.record (J.Message_dropped { cls = "cdp"; id = m'.node })
                 | _ -> enqueue m')
@@ -184,7 +167,6 @@ let discover ?faults cfg state ~hop_matrix ~src ~dst ~bw =
     in
     pump ();
     if !truncated then begin
-      Tm.Counter.incr c_truncated;
       if !J.on then
         J.record (J.Flood_truncated { src; dst; messages = !messages });
       !on_truncated ~src ~dst ~messages:!messages

@@ -85,51 +85,8 @@ type event =
   | Recovery_replayed of { checkpoint_seq : int; replayed : int; conns : int }
   | Request_shed of { conn : int; reason : string; queued : int }
 
-let kind_name = function
-  | Request _ -> "request"
-  | Admitted _ -> "admitted"
-  | Rejected _ -> "rejected"
-  | Primary_chosen _ -> "primary-chosen"
-  | Backup_chosen _ -> "backup-chosen"
-  | Spare_change _ -> "spare-change"
-  | Flood_done _ -> "flood-done"
-  | Cdp_sent _ -> "cdp-sent"
-  | Cdp_dropped _ -> "cdp-dropped"
-  | Cdp_candidate _ -> "cdp-candidate"
-  | Failure_detected _ -> "failure-detected"
-  | Report_hop _ -> "report-hop"
-  | Backup_activated _ -> "backup-activated"
-  | Backup_contended _ -> "backup-contended"
-  | Connection_lost _ -> "connection-lost"
-  | Rerouted _ -> "rerouted"
-  | Reprotected _ -> "reprotected"
-  | Teardown _ -> "teardown"
-  | Message_dropped _ -> "message-dropped"
-  | Retransmit _ -> "retransmit"
-  | Flood_truncated _ -> "flood-truncated"
-  | Reprotect_queued _ -> "reprotect-queued"
-  | Group_failed _ -> "group-failed"
-  | Chain_built _ -> "chain-built"
-  | Chain_failover _ -> "chain-failover"
-  | Chain_exhausted _ -> "chain-exhausted"
-  | Lsa_originated _ -> "lsa-originated"
-  | Lsa_delivered _ -> "lsa-delivered"
-  | Shard_setup _ -> "shard-setup"
-  | Shard_crankback _ -> "shard-crankback"
-  | Stale_decision _ -> "stale-decision"
-  | What_if _ -> "what-if"
-  | Batch_done _ -> "batch-done"
-  | Span_open _ -> "span-open"
-  | Span_close _ -> "span-close"
-  | Ring_dropped _ -> "ring-dropped"
-  | Checkpoint_written _ -> "checkpoint-written"
-  | Wal_appended _ -> "wal-appended"
-  | Crash_injected _ -> "crash-injected"
-  | Recovery_replayed _ -> "recovery-replayed"
-  | Request_shed _ -> "request-shed"
-
-let all_kinds =
-  [
+let kind_names =
+  [|
     "request"; "admitted"; "rejected"; "primary-chosen"; "backup-chosen";
     "spare-change"; "flood-done"; "cdp-sent"; "cdp-dropped"; "cdp-candidate";
     "failure-detected"; "report-hop"; "backup-activated"; "backup-contended";
@@ -140,7 +97,54 @@ let all_kinds =
     "stale-decision"; "what-if"; "batch-done"; "span-open"; "span-close";
     "ring-dropped"; "checkpoint-written"; "wal-appended"; "crash-injected";
     "recovery-replayed"; "request-shed";
-  ]
+  |]
+
+let all_kinds = Array.to_list kind_names
+
+let kind_index = function
+  | Request _ -> 0
+  | Admitted _ -> 1
+  | Rejected _ -> 2
+  | Primary_chosen _ -> 3
+  | Backup_chosen _ -> 4
+  | Spare_change _ -> 5
+  | Flood_done _ -> 6
+  | Cdp_sent _ -> 7
+  | Cdp_dropped _ -> 8
+  | Cdp_candidate _ -> 9
+  | Failure_detected _ -> 10
+  | Report_hop _ -> 11
+  | Backup_activated _ -> 12
+  | Backup_contended _ -> 13
+  | Connection_lost _ -> 14
+  | Rerouted _ -> 15
+  | Reprotected _ -> 16
+  | Teardown _ -> 17
+  | Message_dropped _ -> 18
+  | Retransmit _ -> 19
+  | Flood_truncated _ -> 20
+  | Reprotect_queued _ -> 21
+  | Group_failed _ -> 22
+  | Chain_built _ -> 23
+  | Chain_failover _ -> 24
+  | Chain_exhausted _ -> 25
+  | Lsa_originated _ -> 26
+  | Lsa_delivered _ -> 27
+  | Shard_setup _ -> 28
+  | Shard_crankback _ -> 29
+  | Stale_decision _ -> 30
+  | What_if _ -> 31
+  | Batch_done _ -> 32
+  | Span_open _ -> 33
+  | Span_close _ -> 34
+  | Ring_dropped _ -> 35
+  | Checkpoint_written _ -> 36
+  | Wal_appended _ -> 37
+  | Crash_injected _ -> 38
+  | Recovery_replayed _ -> 39
+  | Request_shed _ -> 40
+
+let kind_name e = kind_names.(kind_index e)
 
 type entry = { seq : int; time : float; event : event }
 
@@ -150,23 +154,38 @@ let default_capacity = 1 lsl 18
 
 type t = {
   ring : entry option array;
+  totals : int array; (* events recorded per kind, indexed by [kind_index] *)
   mutable appended : int; (* total ever appended; next seq *)
   mutable trace_epochs : int; (* next per-buffer trace-seed epoch *)
 }
 
 let create ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Journal.create: capacity must be >= 1";
-  { ring = Array.make capacity None; appended = 0; trace_epochs = 0 }
+  {
+    ring = Array.make capacity None;
+    totals = Array.make (Array.length kind_names) 0;
+    appended = 0;
+    trace_epochs = 0;
+  }
 
 let capacity t = Array.length t.ring
 let length t = min t.appended (Array.length t.ring)
 let recorded t = t.appended
 let dropped t = max 0 (t.appended - Array.length t.ring)
 
-let append t ~time event =
+let push t ~time event =
   let cap = Array.length t.ring in
   t.ring.(t.appended mod cap) <- Some { seq = t.appended; time; event };
   t.appended <- t.appended + 1
+
+(* Every live recording goes through here: the per-kind count is taken
+   before the ring can overwrite the entry, so [totals] stays exact. *)
+let append t ~time event =
+  let k = kind_index event in
+  t.totals.(k) <- t.totals.(k) + 1;
+  push t ~time event
+
+let totals t = List.mapi (fun i kind -> (kind, t.totals.(i))) all_kinds
 
 let entries t =
   let cap = Array.length t.ring in
@@ -179,6 +198,7 @@ let entries t =
 
 let clear t =
   Array.fill t.ring 0 (Array.length t.ring) None;
+  Array.fill t.totals 0 (Array.length t.totals) 0;
   t.appended <- 0;
   t.trace_epochs <- 0
 
@@ -331,6 +351,10 @@ let with_buffer buf f =
       c.buf <- saved;
       raise e
 
+type captured = { c_entries : entry list; c_totals : int array }
+
+let captured_entries c = c.c_entries
+
 let capture ?capacity ?trace_seed f =
   let c = ctx () in
   let saved_now = c.sim_now in
@@ -359,10 +383,13 @@ let capture ?capacity ?trace_seed f =
     (* Surface ring overwrite instead of silently handing back a window:
        downstream consumers (trace assembly in particular) must know the
        DAG may be missing its oldest spans. *)
-    if dropped buf > 0 then
-      { seq = 0; time = 0.0; event = Ring_dropped { count = dropped buf } }
-      :: es
-    else es
+    let c_entries =
+      if dropped buf > 0 then
+        { seq = 0; time = 0.0; event = Ring_dropped { count = dropped buf } }
+        :: es
+      else es
+    in
+    { c_entries; c_totals = buf.totals }
   in
   match with_buffer buf f with
   | v ->
@@ -372,7 +399,12 @@ let capture ?capacity ?trace_seed f =
       finish ();
       raise e
 
-let append_entries t es = List.iter (fun e -> append t ~time:e.time e.event) es
+(* The entries are re-appended uncounted and the task's exact totals added
+   instead: counting the entries would miss what the task's ring overwrote
+   and would count the [Ring_dropped] marker as an event. *)
+let merge t c =
+  List.iter (fun e -> push t ~time:e.time e.event) c.c_entries;
+  Array.iteri (fun i n -> t.totals.(i) <- t.totals.(i) + n) c.c_totals
 
 (* ---- JSONL writer -------------------------------------------------------- *)
 
@@ -393,7 +425,7 @@ let buf_json_string b s =
   Buffer.add_char b '"'
 
 (* JSON has no NaN/Infinity literals; journal floats are always finite, but
-   clamp defensively like the telemetry sink does. *)
+   clamp defensively. *)
 let buf_json_float b v =
   if Float.is_finite v then Buffer.add_string b (Printf.sprintf "%.17g" v)
   else Buffer.add_string b "null"

@@ -1,22 +1,24 @@
 (** Flight recorder: a typed, sim-time-stamped event journal covering the
-    full DR-connection lifecycle.
+    full DR-connection lifecycle — the simulator's one event stream.
 
-    Aggregate metrics ({!Dr_telemetry.Telemetry}) answer "how many"; this
-    journal answers {e why}: which backup D-LSR chose and what every
-    candidate link's cost decomposed into (Q-overlap term, conflict term
-    [Σc_{i,j}] or [‖APLV_i‖₁], ε tie-break), which links' spare pools
-    [SC_i] moved and to what level, and where a failed connection's
-    recovery latency was spent (detection, hop-by-hop reporting, backup
-    activation — §4 of the paper).
+    It answers "how many" through exact per-kind {!totals} (what
+    [drtp_sim --metrics] prints) and {e why} through the events
+    themselves: which backup D-LSR chose and what every candidate link's
+    cost decomposed into (Q-overlap term, conflict term [Σc_{i,j}] or
+    [‖APLV_i‖₁], ε tie-break), which links' spare pools [SC_i] moved and
+    to what level, and where a failed connection's recovery latency was
+    spent (detection, hop-by-hop reporting, backup activation — §4 of the
+    paper).
 
     {b Recording model.}  Events go into the {e current buffer} — a
     bounded ring that overwrites its oldest entries, so a long run keeps a
-    recent window plus a count of what it dropped.  Each domain has its own
-    current buffer (domain-local state), so worker domains of a
+    recent window plus a count of what it dropped, while the per-kind
+    totals keep counting every event.  Each domain has its own current
+    buffer (domain-local state), so worker domains of a
     {!Dr_parallel.Pool} never interleave entries: a parallel driver wraps
-    each task in {!capture} and re-appends the captured entries
-    index-keyed from the coordinator, which makes the merged journal
-    byte-identical for any [--jobs] count.
+    each task in {!capture} and {!merge}s the captures index-keyed from
+    the coordinator, which makes the merged journal byte-identical for any
+    [--jobs] count.
 
     {b Timestamps} are simulation time, not wall-clock: drivers install
     the clock by calling {!set_now} (the event engine stamps each
@@ -24,8 +26,8 @@
     deterministic and diffable across runs and job counts.
 
     {b Cost.}  Every probe is guarded by the {!on} switch: disabled cost
-    is one load and one branch, inside the same <= 2% budget the bench
-    harness enforces for telemetry. *)
+    is one load and one branch, inside the <= 2% disabled-instrumentation
+    budget the bench harness enforces. *)
 
 val on : bool ref
 (** Master switch, exposed as a ref so hot paths can guard event
@@ -228,6 +230,13 @@ val recorded : t -> int
 val dropped : t -> int
 (** [recorded - length] once the ring has wrapped. *)
 
+val totals : t -> (string * int) list
+(** Exact per-kind event counts, one pair per kind in {!all_kinds} order
+    (zeros included).  Counted when an event is recorded, so they include
+    entries the ring has since overwritten, plus every event of the
+    captures {!merge}d in (not the [Ring_dropped] marker a wrapped capture
+    leads with). *)
+
 val entries : t -> entry list
 (** Oldest first. *)
 
@@ -331,24 +340,31 @@ val with_buffer : t -> (unit -> 'a) -> 'a
 (** Run the thunk with [t] installed as the current buffer (restored on
     exit, also on exception). *)
 
-val capture : ?capacity:int -> ?trace_seed:int -> (unit -> 'a) -> 'a * entry list
+type captured
+(** What a {!capture}d thunk recorded: its retained entries and its exact
+    per-kind totals. *)
+
+val captured_entries : captured -> entry list
+(** Oldest first.  If the thunk wrapped its private ring, the list is
+    prefixed with a [Ring_dropped] entry so the overwrite is not silent. *)
+
+val capture : ?capacity:int -> ?trace_seed:int -> (unit -> 'a) -> 'a * captured
 (** Run the thunk against a fresh buffer with simulation time reset to 0,
     and return what it recorded.  The worker-side half of deterministic
-    parallel journalling: the coordinator re-appends each task's entries
-    in task-index order with {!append_entries}.
+    parallel journalling: the coordinator {!merge}s each task's capture
+    in task-index order.
 
     [trace_seed] additionally resets the causal context ({!Causal.reset})
     for the thunk's duration and restores it after — give each task a
     distinct, task-indexed seed (a per-cell seed or a
     {!Causal.alloc_trace_epochs} block) and span ids in the merged
-    journal are byte-identical for any job count.
+    journal are byte-identical for any job count. *)
 
-    If the thunk wraps its private ring, the returned list is prefixed
-    with a [Ring_dropped] entry so the overwrite is not silent. *)
-
-val append_entries : t -> entry list -> unit
-(** Re-append captured entries (coordinator side).  Sequence numbers are
-    re-stamped by the receiving buffer; timestamps are kept. *)
+val merge : t -> captured -> unit
+(** Re-append a capture's entries (coordinator side) and add its totals.
+    Sequence numbers are re-stamped by the receiving buffer; timestamps
+    are kept.  The totals come from the capture, not from the re-appended
+    entries, so they stay exact when the capture's ring wrapped. *)
 
 (** {1 JSONL export} *)
 

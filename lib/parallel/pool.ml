@@ -1,13 +1,3 @@
-module Tm = Dr_telemetry.Telemetry
-
-(* Pool-level telemetry.  The per-worker busy-time gauges are created per
-   pool (worker counts vary); everything else is shared. *)
-let c_tasks = Tm.Counter.make "pool.tasks"
-let c_retries = Tm.Counter.make "pool.retries"
-let c_failures = Tm.Counter.make "pool.failures"
-let g_queue_depth = Tm.Gauge.make "pool.queue_depth"
-let g_in_flight = Tm.Gauge.make "pool.in_flight"
-
 type error = { index : int; attempts : int; message : string }
 
 (* One queue shard per worker.  Submission round-robins across shards and
@@ -24,16 +14,12 @@ type t = {
   queue_bound : int;
   retries : int;
   shards : shard array; (* empty when [jobs = 1] *)
-  gm : Mutex.t; (* guards [queued], [in_flight], [stopped], [mapping] *)
+  gm : Mutex.t; (* guards [stopped], [mapping] *)
   work_ready : Condition.t; (* workers sleep here when every shard is dry *)
   task_done : Condition.t; (* the coordinator sleeps here inside [map] *)
-  mutable queued : int;
-  mutable in_flight : int;
   mutable stopped : bool;
   mutable mapping : bool;
   mutable domains : unit Domain.t list;
-  busy : float array; (* per-worker busy seconds; each slot single-writer *)
-  busy_gauges : Tm.Gauge.t array;
 }
 
 let default_jobs () = Domain.recommended_domain_count ()
@@ -90,19 +76,8 @@ let worker pool i =
     match next () with
     | None -> ()
     | Some task ->
-        Mutex.lock pool.gm;
-        pool.queued <- pool.queued - 1;
-        pool.in_flight <- pool.in_flight + 1;
-        Tm.Gauge.set g_queue_depth (float_of_int pool.queued);
-        Tm.Gauge.set g_in_flight (float_of_int pool.in_flight);
-        Mutex.unlock pool.gm;
-        let t0 = Unix.gettimeofday () in
         task ();
-        pool.busy.(i) <- pool.busy.(i) +. (Unix.gettimeofday () -. t0);
-        Tm.Gauge.set pool.busy_gauges.(i) pool.busy.(i);
         Mutex.lock pool.gm;
-        pool.in_flight <- pool.in_flight - 1;
-        Tm.Gauge.set g_in_flight (float_of_int pool.in_flight);
         Condition.broadcast pool.task_done;
         Mutex.unlock pool.gm;
         loop ()
@@ -131,15 +106,9 @@ let create ?jobs ?(queue_bound = 32) ?(retries = 1) () =
       gm = Mutex.create ();
       work_ready = Condition.create ();
       task_done = Condition.create ();
-      queued = 0;
-      in_flight = 0;
       stopped = false;
       mapping = false;
       domains = [];
-      busy = Array.make jobs 0.0;
-      busy_gauges =
-        Array.init jobs (fun i ->
-            Tm.Gauge.make (Printf.sprintf "pool.worker%d.busy_s" i));
     }
   in
   if jobs > 1 then
@@ -155,8 +124,6 @@ let submit pool idx task =
   Queue.push task s.q;
   Mutex.unlock s.sm;
   Mutex.lock pool.gm;
-  pool.queued <- pool.queued + 1;
-  Tm.Gauge.set g_queue_depth (float_of_int pool.queued);
   Condition.signal pool.work_ready;
   Mutex.unlock pool.gm
 
@@ -164,19 +131,12 @@ let submit pool idx task =
    surface an [Error].  Runs inside a worker domain (or inline when
    [jobs = 1]) — it must never raise. *)
 let run_task pool f x index =
-  Tm.Counter.incr c_tasks;
   let rec attempt k =
     match f x with
     | v -> Ok v
     | exception e ->
-        if k <= pool.retries then begin
-          Tm.Counter.incr c_retries;
-          attempt (k + 1)
-        end
-        else begin
-          Tm.Counter.incr c_failures;
-          Error { index; attempts = k; message = Printexc.to_string e }
-        end
+        if k <= pool.retries then attempt (k + 1)
+        else Error { index; attempts = k; message = Printexc.to_string e }
   in
   attempt 1
 

@@ -23,11 +23,6 @@
       [queue_bound] tasks, so a huge batch never materialises in memory.
       Idle workers steal from other shards.
 
-    Telemetry (through {!Dr_telemetry.Telemetry}, enabled with the usual
-    switch): counters [pool.tasks], [pool.retries], [pool.failures];
-    gauges [pool.queue_depth], [pool.in_flight] and per-worker
-    [pool.worker<i>.busy_s] busy-time accumulators.
-
     With [jobs = 1] no domains are spawned and tasks run inline in the
     submitting domain — the sequential path, byte-identical to the
     pre-pool code.  A pool is owned by one coordinating domain: calls to

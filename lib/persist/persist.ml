@@ -132,7 +132,7 @@ let recover cfg ~manager =
     match
       J.capture ~trace_seed:0 (fun () -> List.iter (Wal.replay manager) tail)
     with
-    | (), (_ : J.entry list) -> Ok ()
+    | (), (_ : J.captured) -> Ok ()
     | exception e -> Error ("wal replay: " ^ Printexc.to_string e)
   in
   let replayed = List.length tail in

@@ -2,7 +2,7 @@
    test-suite equivalence oracles compare, in one string.  Two states with
    equal digests agree on pools, APLV tables, conflict counts, spare
    accounting, failure flags, the full connection table (routes included)
-   and the telemetry odometers.  The crash-recovery gate is "digest of a
+   and the stats odometers.  The crash-recovery gate is "digest of a
    crashed-and-recovered run = digest of the uncrashed run", bit for bit.
 
    Lifted from test/test_service.ml (which now delegates here) so the

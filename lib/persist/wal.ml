@@ -6,8 +6,8 @@
    bit rot instead of replaying garbage.
 
    Replay feeds [Request]/[Release] through the exact [Manager.apply] path
-   the live run used (so telemetry, re-protection drains and journal spans
-   evolve identically) and the remaining ops through the corresponding
+   the live run used (so admission stats, re-protection drains and journal
+   spans evolve identically) and the remaining ops through the corresponding
    [Net_state] / [Manager] mutators.  Replay assumes the manager's route
    functions are stateless and deterministic (P-LSR / D-LSR): a route fn
    with hidden RNG state (bounded flooding under fault injection) is not

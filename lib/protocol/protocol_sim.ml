@@ -7,13 +7,8 @@ module Routing = Drtp.Routing
 module Resources = Drtp.Resources
 module Faults = Dr_faults.Faults
 module Backoff = Dr_faults.Backoff
-module Tm = Dr_telemetry.Telemetry
 module J = Dr_obs.Journal
 module C = Dr_obs.Journal.Causal
-
-let c_setup_dropped = Tm.Counter.make "proto.setup.dropped"
-let c_ack_dropped = Tm.Counter.make "proto.ack.dropped"
-let c_retransmits = Tm.Counter.make "proto.retransmits"
 
 type config = {
   scheme : Drtp.Routing.scheme;
@@ -205,7 +200,6 @@ let run ?(config = default_config) ~graph ~capacity ~scenario ~warmup ~horizon
     match config.faults with
     | Some f when not (Faults.deliver f Faults.Setup) ->
         stats.setup_dropped <- stats.setup_dropped + 1;
-        Tm.Counter.incr c_setup_dropped;
         if !J.on then J.record (J.Message_dropped { cls = "setup"; id = conn });
         let wait = Backoff.delay rto_backoff ~attempt:(retransmit + 1) in
         let wait_leaf phase =
@@ -222,7 +216,6 @@ let run ?(config = default_config) ~graph ~capacity ~scenario ~warmup ~horizon
         end
         else begin
           stats.retransmits <- stats.retransmits + 1;
-          Tm.Counter.incr c_retransmits;
           if !J.on then
             J.record (J.Retransmit { cls = "setup"; conn; attempt = retransmit + 1 });
           wait_leaf "retransmit-wait";
@@ -281,13 +274,11 @@ let run ?(config = default_config) ~graph ~capacity ~scenario ~warmup ~horizon
           if Faults.deliver f Faults.Ack then true
           else begin
             stats.ack_dropped <- stats.ack_dropped + 1;
-            Tm.Counter.incr c_ack_dropped;
             if !J.on then
               J.record (J.Message_dropped { cls = "ack"; id = conn });
             if Backoff.exhausted rto_backoff ~attempt:k then false
             else begin
               stats.retransmits <- stats.retransmits + 1;
-              Tm.Counter.incr c_retransmits;
               if !J.on then
                 J.record (J.Retransmit { cls = "ack"; conn; attempt = k + 1 });
               go (k + 1)

@@ -1,8 +1,4 @@
-module Tm = Dr_telemetry.Telemetry
 module J = Dr_obs.Journal
-
-let c_batches = Tm.Counter.make "service.batches"
-let c_batched_requests = Tm.Counter.make "service.batched_requests"
 
 type request = {
   rq_conn : int;
@@ -35,8 +31,6 @@ let locality_order reqs =
 
 let admit ?(reorder = false) ?timings service reqs =
   let n = Array.length reqs in
-  Tm.Counter.incr c_batches;
-  Tm.Counter.add c_batched_requests n;
   (match timings with
   | Some arr when Array.length arr <> n ->
       invalid_arg "Batch.admit: timings length mismatch"

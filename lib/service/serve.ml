@@ -5,7 +5,6 @@ module Graph = Dr_topo.Graph
 module Pool = Dr_parallel.Pool
 module Sm = Dr_rng.Splitmix64
 module Histogram = Dr_stats.Histogram
-module Tm = Dr_telemetry.Telemetry
 module J = Dr_obs.Journal
 module Persist = Dr_persist.Persist
 module Wal = Dr_persist.Wal
@@ -394,9 +393,6 @@ let run ?pool config ~graph ~capacity ~spare_policy ~route ~scenario =
       | None -> ());
       let timings = Array.make n 0.0 in
       let verdicts =
-        Tm.Span.with_ ~name:"serve.batch"
-          ~attrs:[ ("size", Tm.Int n) ]
-        @@ fun () ->
         Batch.admit ~reorder:config.sv_reorder ~timings !service reqs
       in
       requests := !requests + n;

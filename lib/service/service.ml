@@ -3,13 +3,7 @@ module Manager = Drtp.Manager
 module Routing = Drtp.Routing
 module Failure_eval = Drtp.Failure_eval
 module Scenario = Dr_sim.Scenario
-module Tm = Dr_telemetry.Telemetry
 module J = Dr_obs.Journal
-
-(* Telemetry: what-if traffic and the snapshot churn it causes. *)
-let c_what_ifs = Tm.Counter.make "service.what_ifs"
-let c_snapshots = Tm.Counter.make "service.snapshots"
-let c_probes = Tm.Counter.make "service.fail_probes"
 
 type verdict =
   | Accepted of { backups : int; degraded : bool }
@@ -61,7 +55,6 @@ let release_now t ~now ~conn =
     { Scenario.time = now; event = Scenario.Release { conn } }
 
 let take_snapshot t =
-  Tm.Counter.incr c_snapshots;
   let snap = Manager.snapshot ?into:t.scratch t.manager in
   t.scratch <- Some snap;
   snap
@@ -76,7 +69,6 @@ let speculate f =
   v
 
 let what_if_admit ?conn t ~now ~src ~dst ~bw =
-  Tm.Counter.incr c_what_ifs;
   let conn =
     match conn with
     | Some id -> id
@@ -93,7 +85,6 @@ let what_if_admit ?conn t ~now ~src ~dst ~bw =
   verdict
 
 let what_if_admit_set ?(first_conn = -1) t ~now reqs =
-  Tm.Counter.incr c_what_ifs;
   let first =
     if first_conn >= 0 then first_conn
     else begin
@@ -135,7 +126,6 @@ type fail_probe = {
    state: {!Failure_eval.evaluate_edge} is hypothetical by construction
    (it never mutates), so no snapshot is needed. *)
 let what_if_fail_edge t ~edge =
-  Tm.Counter.incr c_probes;
   let o = Failure_eval.evaluate_edge (Manager.state t.manager) ~edge in
   {
     fp_edge = edge;

@@ -7,19 +7,9 @@ module Routing = Drtp.Routing
 module View = Dr_proto.Advertised_view
 module Faults = Dr_faults.Faults
 module Backoff = Dr_faults.Backoff
-module Tm = Dr_telemetry.Telemetry
 module Summary = Dr_stats.Summary
 module J = Dr_obs.Journal
 module C = Dr_obs.Journal.Causal
-
-let c_lsa_sent = Tm.Counter.make "shard.lsa.sent"
-let c_lsa_dropped = Tm.Counter.make "shard.lsa.dropped"
-let c_setup_dropped = Tm.Counter.make "shard.setup.dropped"
-let c_ack_dropped = Tm.Counter.make "shard.ack.dropped"
-let c_retransmits = Tm.Counter.make "shard.retransmits"
-let c_crankbacks = Tm.Counter.make "shard.crankbacks"
-let c_stale_decisions = Tm.Counter.make "shard.decisions.stale"
-let c_divergent = Tm.Counter.make "shard.decisions.divergent"
 
 type config = {
   scheme : Routing.scheme;
@@ -367,7 +357,6 @@ let run ?(config = default_config) ?partition ~graph ~capacity ~scenario ~warmup
     dirty_since.(l) <- -1.0;
     let owner = Partition.owner_of_link part l in
     stats.lsa_originated <- stats.lsa_originated + 1;
-    Tm.Counter.incr c_lsa_sent;
     if !J.on then
       J.record (J.Lsa_originated { shard = owner; link = l; lsa_seq = sq });
     let sp_lsa = if !J.on then C.root ~conn:l ~t0:now "lsa" else C.null in
@@ -377,7 +366,6 @@ let run ?(config = default_config) ?partition ~graph ~capacity ~scenario ~warmup
         match config.faults with
         | Some f when not (Faults.deliver f Faults.Lsa) ->
             stats.lsa_dropped <- stats.lsa_dropped + 1;
-            Tm.Counter.incr c_lsa_dropped;
             if !J.on then J.record (J.Message_dropped { cls = "lsa"; id = l })
         | _ ->
             incr scheduled;
@@ -431,7 +419,6 @@ let run ?(config = default_config) ?partition ~graph ~capacity ~scenario ~warmup
     match config.faults with
     | Some f when not (Faults.deliver f Faults.Setup) ->
         stats.setup_dropped <- stats.setup_dropped + 1;
-        Tm.Counter.incr c_setup_dropped;
         if !J.on then J.record (J.Message_dropped { cls = "setup"; id = conn });
         let wait = Backoff.delay rto_backoff ~attempt:(retransmit + 1) in
         let wait_leaf phase =
@@ -448,7 +435,6 @@ let run ?(config = default_config) ?partition ~graph ~capacity ~scenario ~warmup
         end
         else begin
           stats.retransmits <- stats.retransmits + 1;
-          Tm.Counter.incr c_retransmits;
           if !J.on then
             J.record (J.Retransmit { cls = "setup"; conn; attempt = retransmit + 1 });
           wait_leaf "retransmit-wait";
@@ -476,7 +462,6 @@ let run ?(config = default_config) ?partition ~graph ~capacity ~scenario ~warmup
     end
     else begin
       stats.stale_decisions <- stats.stale_decisions + 1;
-      Tm.Counter.incr c_stale_decisions;
       let age =
         List.fold_left
           (fun acc l -> acc +. (now -. applied_origin.(shard).(l)))
@@ -494,10 +479,8 @@ let run ?(config = default_config) ?partition ~graph ~capacity ~scenario ~warmup
         | Ok opair -> pair_signature pair <> pair_signature opair
         | Error _ -> true
       in
-      if divergent then begin
+      if divergent then
         stats.divergent_decisions <- stats.divergent_decisions + 1;
-        Tm.Counter.incr c_divergent
-      end;
       if !J.on then begin
         J.record (J.Stale_decision { conn; age; divergent });
         (* The decision instant leaves a marker leaf on the attempt; its
@@ -541,7 +524,6 @@ let run ?(config = default_config) ?partition ~graph ~capacity ~scenario ~warmup
     if Backoff.exhausted crank ~attempt then lost ()
     else begin
       stats.crankbacks <- stats.crankbacks + 1;
-      Tm.Counter.incr c_crankbacks;
       if !J.on then
         J.record (J.Shard_crankback { conn; attempt = attempt + 1; reason });
       List.iter
@@ -578,12 +560,10 @@ let run ?(config = default_config) ?partition ~graph ~capacity ~scenario ~warmup
           if Faults.deliver f Faults.Ack then true
           else begin
             stats.ack_dropped <- stats.ack_dropped + 1;
-            Tm.Counter.incr c_ack_dropped;
             if !J.on then J.record (J.Message_dropped { cls = "ack"; id = conn });
             if Backoff.exhausted rto_backoff ~attempt:k then false
             else begin
               stats.retransmits <- stats.retransmits + 1;
-              Tm.Counter.incr c_retransmits;
               if !J.on then
                 J.record (J.Retransmit { cls = "ack"; conn; attempt = k + 1 });
               go (k + 1)

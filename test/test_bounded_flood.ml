@@ -208,10 +208,11 @@ let test_truncation_surfaced () =
     (fun ~src ~dst ~messages -> calls := (src, dst, messages) :: !calls);
   let was_on = J.enabled () in
   J.set_enabled true;
-  let r, entries =
+  let r, captured =
     J.capture (fun () ->
         BF.discover config st ~hop_matrix:(hop_matrix st) ~src:0 ~dst:8 ~bw:1)
   in
+  let entries = J.captured_entries captured in
   J.set_enabled was_on;
   BF.on_truncated := old_hook;
   Alcotest.(check bool) "truncated" true r.BF.truncated;

@@ -1,15 +1,22 @@
 (* The flight-recorder journal: ring-buffer semantics, the disabled no-op
    guarantee, JSONL round-tripping through the built-in reader, the
-   bit-exact cost decomposition behind [drtp_sim explain], and — the
-   property the per-domain buffers exist for — journal output that is
-   byte-identical across [--jobs] counts. *)
+   bit-exact cost decomposition behind [drtp_sim explain], exact per-kind
+   totals that agree with the simulator's own counters however the ring
+   is sized, observer neutrality, and — the property the per-domain
+   buffers exist for — journal output that is byte-identical across
+   [--jobs] counts. *)
 
 module J = Dr_obs.Journal
-module Tm = Dr_telemetry.Telemetry
 module Pool = Dr_parallel.Pool
 module Config = Dr_exp.Config
 module Runner = Dr_exp.Runner
 module Routing = Drtp.Routing
+module Manager = Drtp.Manager
+module Net_state = Drtp.Net_state
+module Recovery = Drtp.Recovery
+module Bounded_flood = Dr_flood.Bounded_flood
+module Scenario = Dr_sim.Scenario
+module Serve = Dr_service.Serve
 
 (* Every test leaves the journal global state as it found it: disabled,
    with the calling domain's buffer empty. *)
@@ -31,6 +38,8 @@ let test_ring_bounds () =
   Alcotest.(check int) "length capped" 4 (J.length t);
   Alcotest.(check int) "recorded counts everything" 6 (J.recorded t);
   Alcotest.(check int) "dropped = overflow" 2 (J.dropped t);
+  Alcotest.(check int) "totals count overwritten entries" 6
+    (List.assoc "teardown" (J.totals t));
   let es = J.entries t in
   Alcotest.(check (list int)) "oldest entries evicted, order kept"
     [ 2; 3; 4; 5 ]
@@ -46,7 +55,9 @@ let test_ring_bounds () =
     es;
   J.clear t;
   Alcotest.(check int) "clear empties" 0 (J.length t);
-  Alcotest.(check int) "clear resets counter" 0 (J.recorded t)
+  Alcotest.(check int) "clear resets counter" 0 (J.recorded t);
+  Alcotest.(check int) "clear resets totals" 0
+    (List.assoc "teardown" (J.totals t))
 
 let test_disabled_noop () =
   J.set_enabled false;
@@ -67,10 +78,12 @@ let test_capture_isolates () =
         ())
   in
   Alcotest.(check int) "captured exactly the inner entries" 1
-    (List.length inner);
+    (List.length (J.captured_entries inner));
   Alcotest.(check (float 0.0)) "outer sim clock restored" 123.0 (J.now ());
   Alcotest.(check int) "outer buffer untouched by capture" 1 (J.recorded outer);
-  J.append_entries outer inner;
+  J.merge outer inner;
+  Alcotest.(check int) "merge adds the capture's totals" 2
+    (List.assoc "teardown" (J.totals outer));
   match J.entries outer with
   | [ a; b ] ->
       Alcotest.(check int) "re-appended entry re-sequenced" (a.J.seq + 1) b.J.seq;
@@ -152,6 +165,10 @@ let test_jsonl_round_trip () =
   Alcotest.(check int) "one_of_each covers every documented kind"
     (List.length J.all_kinds)
     (List.length (List.sort_uniq compare (List.map J.kind_name one_of_each)));
+  (* [one_of_each] lists the constructors in declaration order, so this
+     pins each constructor to its own name (and totals slot). *)
+  Alcotest.(check (list string)) "kind names in schema order" J.all_kinds
+    (List.map J.kind_name one_of_each);
   let t = J.create () in
   J.with_buffer t (fun () ->
       List.iteri
@@ -282,73 +299,172 @@ let journal_bytes ~jobs =
             (function
               | Ok _ -> () | Error _ -> Alcotest.fail "sweep task failed")
             results);
-      (J.to_jsonl_string buf, J.recorded buf))
+      (J.to_jsonl_string buf, J.recorded buf, J.totals buf))
 
 let test_jobs_byte_identical () =
-  let s1, n1 = journal_bytes ~jobs:1 in
-  let s4, n4 = journal_bytes ~jobs:4 in
+  let s1, n1, t1 = journal_bytes ~jobs:1 in
+  let s4, n4, t4 = journal_bytes ~jobs:4 in
   Alcotest.(check bool) "journal is non-trivial" true (n1 > 100);
   Alcotest.(check int) "same entry count" n1 n4;
   Alcotest.(check bool) "jobs=4 journal byte-identical to jobs=1" true
-    (String.equal s1 s4)
+    (String.equal s1 s4);
+  Alcotest.(check (list (pair string int))) "jobs=4 totals equal jobs=1" t1 t4
 
-(* Telemetry and journal together under a parallel sweep: the JSONL trace
-   must stay line-wise well-formed (worker spans/events never interleave
-   mid-record), and the span-name set must match a sequential run. *)
-let trace_lines ~jobs =
-  let tasks = Lazy.force sweep_tasks in
-  let file = Filename.temp_file "drtp_obs_trace" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-  Tm.reset ();
-  Tm.set_enabled true;
-  J.set_enabled true;
-  let buf = J.create () in
-  Fun.protect
-    ~finally:(fun () ->
-      Tm.Sink.close ();
-      Tm.set_enabled false;
-      J.set_enabled false;
-      Tm.reset ())
-    (fun () ->
-      Tm.Sink.set (Tm.Sink.jsonl (open_out file));
-      J.with_buffer buf (fun () ->
-          Pool.with_pool ~jobs (fun pool ->
-              ignore (Runner.run_many ~pool small_cfg tasks)));
-      Tm.Sink.close ();
-      let ic = open_in file in
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-      in
-      go [])
+(* ---- exact per-kind totals ----------------------------------------------- *)
 
-let span_names lines =
-  List.sort_uniq compare
-    (List.filter_map
-       (fun line ->
-         match J.json_of_string line with
-         | Ok j -> (
-             match (J.mem "type" j, J.mem "name" j) with
-             | Some (J.Str "span"), Some (J.Str name) -> Some name
-             | _ -> None)
-         | Error _ -> None)
-       lines)
+(* A seeded replay of the [small_cfg] workload.  With [fail_scheme], every
+   25th scenario item repairs the previous failure and fails the edge the
+   most primaries cross: the scheme's recovery runs, and the connections
+   it leaves unprotected join the manager's reprotection queue. *)
+let seeded_run ?fail_scheme ~route () =
+  let graph = Config.make_graph small_cfg ~avg_degree:3.0 in
+  let scenario = Config.make_scenario small_cfg Config.UT ~lambda:0.4 in
+  let manager =
+    Manager.create ~graph ~capacity:small_cfg.Config.capacity
+      ~spare_policy:Net_state.Multiplexed ~route
+  in
+  let state = Manager.state manager in
+  let failed = ref None in
+  Array.iteri
+    (fun i (item : Scenario.item) ->
+      Manager.apply manager item;
+      match fail_scheme with
+      | Some scheme when i mod 25 = 24 ->
+          let now = item.Scenario.time in
+          Option.iter
+            (fun edge ->
+              Net_state.restore_edge state ~edge;
+              ignore (Manager.drain_reprotect manager ~now))
+            !failed;
+          let crossing e =
+            List.length (Net_state.primaries_crossing_edge state e)
+          in
+          let edge = ref 0 in
+          for e = 1 to Dr_topo.Graph.edge_count graph - 1 do
+            if crossing e > crossing !edge then edge := e
+          done;
+          let edge = !edge in
+          let report = Recovery.fail_edge_drtp state ~scheme ~edge () in
+          List.iter
+            (fun id -> Manager.queue_reprotect manager ~id ~scheme ~now ())
+            report.Recovery.unprotected_ids;
+          failed := Some edge
+      | _ -> ())
+    (Scenario.items scenario);
+  manager
 
-let test_trace_under_jobs () =
-  let l1 = trace_lines ~jobs:1 in
-  let l4 = trace_lines ~jobs:4 in
-  Alcotest.(check bool) "trace is non-trivial" true (List.length l4 > 0);
-  List.iteri
-    (fun i line ->
-      match J.json_of_string line with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.failf "jobs=4 trace line %d malformed: %s" i msg)
-    l4;
-  Alcotest.(check (list string)) "same span names as sequential run"
-    (span_names l1) (span_names l4)
+(* Run [f] three ways — into a ring that keeps every event, into a
+   64-entry ring that wraps, and inside a 64-entry capture merged into a
+   coordinator — and return its result with the totals, which must agree
+   across all three. *)
+let totals_three_ways f =
+  scoped @@ fun () ->
+  let whole = J.create ~capacity:(1 lsl 20) () in
+  let v = J.with_buffer whole f in
+  let small = J.create ~capacity:64 () in
+  ignore (J.with_buffer small f);
+  let coordinator = J.create ~capacity:64 () in
+  let _, captured = J.capture ~capacity:64 f in
+  J.merge coordinator captured;
+  Alcotest.(check int) "large ring kept every event" 0 (J.dropped whole);
+  Alcotest.(check bool) "small ring wrapped" true (J.dropped small > 0);
+  Alcotest.(check bool) "capture ring wrapped" true
+    (match J.captured_entries captured with
+    | { J.event = J.Ring_dropped _; _ } :: _ -> true
+    | _ -> false);
+  let totals = J.totals whole in
+  Alcotest.(check (list (pair string int))) "wrapping ring: same totals" totals
+    (J.totals small);
+  Alcotest.(check (list (pair string int))) "merged capture: same totals"
+    totals (J.totals coordinator);
+  Alcotest.(check int) "kept events are exactly the totals" (J.recorded whole)
+    (List.fold_left (fun n (_, c) -> n + c) 0 totals);
+  (v, fun kind -> List.assoc kind totals)
+
+let check_admission_totals total manager =
+  let s = Manager.stats manager in
+  Alcotest.(check bool) "workload is non-trivial" true (s.Manager.requests > 0);
+  Alcotest.(check int) "request = requests" s.Manager.requests (total "request");
+  Alcotest.(check int) "admitted = accepted" s.Manager.accepted
+    (total "admitted");
+  Alcotest.(check int) "rejected = no-primary + no-backup"
+    (s.Manager.rejected_no_primary + s.Manager.rejected_no_backup)
+    (total "rejected");
+  Alcotest.(check int) "reprotect-queued = queued"
+    (Manager.reprotect_stats manager).Manager.queued
+    (total "reprotect-queued")
+
+let test_totals_with_failures () =
+  let manager, total =
+    totals_three_ways
+      (seeded_run ~fail_scheme:Routing.Dlsr
+         ~route:(Routing.link_state_route_fn Routing.Dlsr ~with_backup:true))
+  in
+  check_admission_totals total manager;
+  Alcotest.(check bool) "failures left connections to reprotect" true
+    (total "reprotect-queued" > 0);
+  Alcotest.(check bool) "backups were activated" true
+    (total "backup-activated" > 0)
+
+let test_totals_under_bf () =
+  let run () =
+    let graph = Config.make_graph small_cfg ~avg_degree:3.0 in
+    let stats = Bounded_flood.fresh_stats () in
+    let route =
+      Bounded_flood.route_fn
+        ~config:{ Bounded_flood.default_config with Bounded_flood.cdp_cap = 40 }
+        ~stats
+        ~hop_matrix:(Dr_topo.Shortest_path.hop_matrix graph)
+        ()
+    in
+    (seeded_run ~route (), stats)
+  in
+  let (manager, stats), total = totals_three_ways run in
+  check_admission_totals total manager;
+  Alcotest.(check int) "flood-done = floods" stats.Bounded_flood.floods
+    (total "flood-done");
+  Alcotest.(check int) "flood-truncated = truncated floods"
+    stats.Bounded_flood.truncated_floods (total "flood-truncated");
+  Alcotest.(check bool) "some floods were truncated" true
+    (stats.Bounded_flood.truncated_floods > 0)
+
+(* ---- observer neutrality -------------------------------------------------- *)
+
+(* Recording must never steer the simulation: the same replay with the
+   journal off and on (into a ring small enough to wrap) measures the
+   same. *)
+let test_runner_neutral () =
+  Array.iter
+    (fun (graph, scenario, scheme) ->
+      let run () = Runner.run small_cfg ~graph ~scenario ~scheme in
+      let off = run () in
+      let ring = J.create ~capacity:64 () in
+      let on = scoped (fun () -> J.with_buffer ring run) in
+      Alcotest.(check bool) "ring wrapped" true (J.dropped ring > 0);
+      Alcotest.(check bool)
+        (Runner.scheme_label scheme ^ ": journal on/off measurements equal")
+        true
+        (compare off on = 0))
+    (Lazy.force sweep_tasks)
+
+let test_serve_neutral () =
+  let serve () =
+    let graph =
+      Dr_topo.Gen.waxman ~rng:(Dr_rng.Splitmix64.create 7) ~n:20
+        ~avg_degree:4.0 ()
+    in
+    Serve.run Test_service.serve_config ~graph ~capacity:12
+      ~spare_policy:Net_state.Multiplexed
+      ~route:(Test_service.dlsr_route ())
+      ~scenario:(Test_service.small_scenario ~seed:42 ~rate:2.0 ~horizon:120.0 20)
+  in
+  let off = serve () in
+  let on = scoped (fun () -> J.with_buffer (J.create ()) serve) in
+  Alcotest.(check string) "journal on/off: same report"
+    (Format.asprintf "%a" Serve.pp_deterministic off)
+    (Format.asprintf "%a" Serve.pp_deterministic on);
+  Alcotest.(check string) "journal on/off: same manager digest"
+    off.Serve.rp_digest on.Serve.rp_digest
 
 let suite =
   [
@@ -364,7 +480,13 @@ let suite =
           test_verdict_matches_cost;
         Alcotest.test_case "journal byte-identical across jobs" `Slow
           test_jobs_byte_identical;
-        Alcotest.test_case "telemetry trace well-formed under jobs" `Slow
-          test_trace_under_jobs;
+        Alcotest.test_case "totals exact with link failures" `Quick
+          test_totals_with_failures;
+        Alcotest.test_case "totals exact under bounded flooding" `Quick
+          test_totals_under_bf;
+        Alcotest.test_case "runner unaffected by journal on/off" `Slow
+          test_runner_neutral;
+        Alcotest.test_case "serve unaffected by journal on/off" `Quick
+          test_serve_neutral;
       ] );
   ]

@@ -259,14 +259,14 @@ let test_seed42_crankback_trace () =
         Some (Faults.create ~seed:1 { Faults.zero_spec with Faults.p_lsa = 1.0 });
     }
   in
-  let (), entries =
+  let (), captured =
     J.capture ~trace_seed:42 (fun () ->
         ignore
           (Shard_sim.run ~config ~partition ~graph ~capacity:1 ~scenario
              ~warmup:0.0 ~horizon:10.0 ~sample_every:5.0 ()))
   in
   let buf = J.create () in
-  J.append_entries buf entries;
+  J.merge buf captured;
   let t = Trace.of_string (J.to_jsonl_string buf) in
   Alcotest.(check (list string)) "structurally sound" [] (Trace.check t);
   let setups =
