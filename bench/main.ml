@@ -719,7 +719,7 @@ let scaling_check () =
    them.  Informational, never a gate: absolute throughput is machine-
    dependent, so CI greps the line into the archived bench log instead of
    asserting on it.  Correctness of the same path (batch == sequential,
-   --jobs byte-identity) is gated by the test suite. *)
+   what-if transparency) is gated by the test suite. *)
 let serve_throughput () =
   let module Serve = Dr_service.Serve in
   let cfg =

@@ -902,7 +902,7 @@ let serve_cmd =
       & info [ "overload-burst" ] ~docv:"N"
           ~doc:"Synthetic requests per overload burst.")
   in
-  let run () jobs degree traffic lambda scheme batch reorder what_if_every
+  let run () _jobs degree traffic lambda scheme batch reorder what_if_every
       what_if_burst probe_every check_every quick smoke wal checkpoint_every
       crash_every queue_cap deadline overload_every overload_burst seed =
     let cfg = config_of ~quick:(quick || smoke) ~seed in
@@ -933,9 +933,9 @@ let serve_cmd =
     let params =
       { Serve_exp.scheme; traffic; lambda; avg_degree = degree; serve = serve_cfg }
     in
-    let report = with_pool jobs (fun pool -> Serve_exp.run ~pool cfg params) in
-    (* Deterministic counts on stdout (CI diffs them across --jobs);
-       wall-clock throughput/latency/GC on stderr. *)
+    let report = Serve_exp.run cfg params in
+    (* Deterministic counts on stdout (CI diffs them); wall-clock
+       throughput/latency/GC on stderr. *)
     Format.printf "%a%!" Serve.pp_deterministic report;
     Format.eprintf "%a%!" Serve.pp_timing report;
     if report.Serve.rp_invariant_failures > 0 then exit 1;
@@ -949,7 +949,8 @@ let serve_cmd =
        ~doc:
          "Drive a seeded open-loop request stream through the batched \
           admission service, with interleaved what-if queries and failure \
-          probes; reports sustained admissions/sec and latency quantiles.")
+          probes; reports sustained admissions/sec and latency quantiles.  \
+          Runs on one domain: $(b,--jobs) is accepted and changes nothing.")
     Term.(
       const run $ obs_t $ jobs_t $ degree_t $ traffic_t
       $ lambda_t ~default:0.4 $ scheme_t $ batch_t $ reorder_t

@@ -37,14 +37,10 @@ let unregister t ~edge_lset =
   if t.backups <= 0 then invalid_arg "Aplv.unregister: no backup registered";
   t.backups <- t.backups - 1
 
-let copy t =
-  { counts = Hashtbl.copy t.counts; norm1 = t.norm1; backups = t.backups }
-
-let assign ~into ~from =
-  Hashtbl.reset into.counts;
-  Hashtbl.iter (fun j c -> Hashtbl.replace into.counts j c) from.counts;
-  into.norm1 <- from.norm1;
-  into.backups <- from.backups
+let clear t =
+  Hashtbl.reset t.counts;
+  t.norm1 <- 0;
+  t.backups <- 0
 
 let norm1 t = t.norm1
 

@@ -38,14 +38,9 @@ val unregister : t -> edge_lset:int list -> unit
 val get : t -> int -> int
 (** [get t j] is [a_{i,j}] (0 when absent). *)
 
-val copy : t -> t
-(** Independent deep copy: mutations of either side never show through
-    the other.  Snapshot support for the what-if layer. *)
-
-val assign : into:t -> from:t -> unit
-(** Overwrite [into] with [from]'s contents (deep, independent).  The
-    allocation-light form of {!copy} used when a snapshot buffer is
-    reused across captures/rollbacks. *)
+val clear : t -> unit
+(** Unregister everything: back to {!create}'s empty vector, in place
+    (checkpoint restore rebuilds every link's vector from scratch). *)
 
 val norm1 : t -> int
 (** [‖APLV_i‖₁ = Σ_j a_{i,j}] — P-LSR's scalar (maintained O(1)). *)

@@ -92,23 +92,8 @@ let set_reprotect_router t f = t.reprotect_router <- f
 
 let state t = t.state
 let stats t = t.stats
-let route_fn t = t.route
 let reprotect_stats t = t.rstats
 let reprotect_pending t = List.length t.reprotect
-
-(* ---- snapshot / rollback -------------------------------------------------
-   A manager snapshot is a {!Net_state.Snapshot} plus the manager's own
-   mutable truth: admission statistics, the reprotection queue (entries are
-   immutable records, so the list is shared) and its counters.  Rollback
-   restores all of it in place, so a speculative admission leaves no trace
-   in the stats a later verdict is derived from. *)
-
-type snapshot = {
-  mutable sn_state : Net_state.Snapshot.t;
-  sn_stats : stats;
-  mutable sn_reprotect : reprotect_entry list;
-  sn_rstats : reprotect_stats;
-}
 
 let copy_stats_into (dst : stats) (src : stats) =
   dst.requests <- src.requests;
@@ -126,30 +111,22 @@ let copy_rstats_into (dst : reprotect_stats) (src : reprotect_stats) =
   dst.abandoned <- src.abandoned;
   dst.unprotected_time <- src.unprotected_time
 
-let snapshot ?into t =
-  match into with
-  | Some s ->
-      (* [capture ~into] hands back a fresh snapshot on a shape mismatch
-         (buffer from another topology) — keep whichever one holds the
-         captured data. *)
-      s.sn_state <- Net_state.Snapshot.capture ~into:s.sn_state t.state;
-      copy_stats_into s.sn_stats t.stats;
-      s.sn_reprotect <- t.reprotect;
-      copy_rstats_into s.sn_rstats t.rstats;
-      s
-  | None ->
-      {
-        sn_state = Net_state.Snapshot.capture t.state;
-        sn_stats = { t.stats with requests = t.stats.requests };
-        sn_reprotect = t.reprotect;
-        sn_rstats = { t.rstats with queued = t.rstats.queued };
-      }
-
-let rollback t s =
-  Net_state.Snapshot.rollback t.state s.sn_state;
-  copy_stats_into t.stats s.sn_stats;
-  t.reprotect <- s.sn_reprotect;
-  copy_rstats_into t.rstats s.sn_rstats
+(* A speculation over the manager: {!Net_state.speculate} undoes the
+   state; the manager's own mutable truth — admission statistics, the
+   reprotection counters and the queue (immutable entries, so the list
+   itself is the saved value) — is saved here and put back on both exits,
+   so a speculative admission leaves no trace in the stats a later verdict
+   is derived from. *)
+let speculate t f =
+  let stats = { t.stats with requests = t.stats.requests } in
+  let rstats = { t.rstats with queued = t.rstats.queued } in
+  let queue = t.reprotect in
+  Fun.protect
+    (fun () -> Net_state.speculate t.state f)
+    ~finally:(fun () ->
+      copy_stats_into t.stats stats;
+      copy_rstats_into t.rstats rstats;
+      t.reprotect <- queue)
 
 (* ---- serialization (checkpoint) ------------------------------------------
    The manager's mutable truth beyond the {!Net_state}: admission stats,

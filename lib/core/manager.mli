@@ -65,25 +65,15 @@ val create_srlg :
 val state : t -> Net_state.t
 val stats : t -> stats
 
-val route_fn : t -> Routing.route_fn
-(** The route function this manager admits with — lets the service layer
-    build bit-exact replica managers for parallel what-if evaluation. *)
+(** {1 Speculation} *)
 
-(** {1 Snapshot / rollback}
-
-    {!Net_state.Snapshot} extended with the manager's own mutable truth —
-    admission statistics, the reprotection queue and its counters — so a
-    speculative admission (the service layer's what-if path) can be rolled
-    back without leaving a trace anywhere a later decision reads. *)
-
-type snapshot
-
-val snapshot : ?into:snapshot -> t -> snapshot
-(** Capture the manager and its state.  [~into] reuses a previous
-    snapshot's buffers when the topology matches. *)
-
-val rollback : t -> snapshot -> unit
-(** Restore manager and state, in place, to the captured truth. *)
+val speculate : t -> (unit -> 'a) -> 'a
+(** [speculate t f] runs [f ()] under {!Net_state.speculate} and also
+    saves and restores the manager's own mutable truth — admission
+    statistics, the reprotection queue and its counters — so a
+    speculative admission (the service layer's what-if path) leaves no
+    trace anywhere a later decision reads.  Undoes on both exits; an
+    exception from [f] is re-raised afterwards. *)
 
 (** {1 Serialization (checkpoints)}
 

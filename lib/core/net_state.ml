@@ -15,6 +15,28 @@ type conn = {
   mutable degraded : bool;
 }
 
+(* One entry of the speculation undo log: what a mutation overwrote, in a
+   form that puts it back. *)
+type undo =
+  | Pools of int * int * int  (* link, prime and spare before the change *)
+  | Registered of {
+      bw : int;
+      primary_edges : int list;
+      groups : int list;
+      backup_path : Path.t;
+    }  (* undone by [unregister_arith] *)
+  | Unregistered of {
+      bw : int;
+      primary_edges : int list;
+      groups : int list;
+      backup_path : Path.t;
+    }  (* undone by [register_arith] *)
+  | Conn_entry of int * conn option  (* connection id, binding before *)
+  | Index_entry of int * int * conn option  (* edge, id, binding before *)
+  | Conn_fields of conn * Path.t * Path.t list * bool
+      (* primary, backups and degraded before the change *)
+  | Failed of int * bool  (* edge, flag before *)
+
 type t = {
   graph : Graph.t;
   resources : Resources.t;
@@ -41,6 +63,8 @@ type t = {
   failed : bool array; (* per edge *)
   spare_policy : spare_policy;
   mutable aplv_updates : int;
+  mutable speculating : int; (* open {!speculate} calls; 0 = log nothing *)
+  mutable undo : undo list; (* newest first *)
 }
 
 let make ~srlg ~graph ~capacity ~spare_policy =
@@ -68,6 +92,8 @@ let make ~srlg ~graph ~capacity ~spare_policy =
     failed = Array.make edges false;
     spare_policy;
     aplv_updates = 0;
+    speculating = 0;
+    undo = [];
   }
 
 let create ~graph ~capacity ~spare_policy =
@@ -118,6 +144,44 @@ let total_spare_deficit t =
 
 let backup_count_on_link t ~link = Aplv.backup_count t.aplv.(link)
 
+(* ---- speculation undo log ------------------------------------------------
+   While a {!speculate} call is open, every mutation below first pushes
+   onto [t.undo] what it is about to overwrite; {!speculate} pops the log
+   in reverse order when its function returns or raises.  Outside a
+   speculation each logging site costs one integer test and allocates
+   nothing. *)
+
+let push_undo t u = t.undo <- u :: t.undo
+
+let save_pools t link =
+  if t.speculating > 0 then
+    push_undo t
+      (Pools
+         (link, Resources.prime_bw t.resources link, Resources.spare_bw t.resources link))
+
+let save_fields t c =
+  if t.speculating > 0 then push_undo t (Conn_fields (c, c.primary, c.backups, c.degraded))
+
+let save_index t e id =
+  if t.speculating > 0 then
+    push_undo t (Index_entry (e, id, Hashtbl.find_opt t.edge_primaries.(e) id))
+
+let set_index t e id conn =
+  save_index t e id;
+  Hashtbl.replace t.edge_primaries.(e) id conn
+
+let set_failed t e v =
+  if t.speculating > 0 then push_undo t (Failed (e, t.failed.(e)));
+  t.failed.(e) <- v
+
+let reserve_primary t link bw =
+  save_pools t link;
+  Resources.reserve_primary t.resources ~link ~bw
+
+let release_primary t link bw =
+  save_pools t link;
+  Resources.release_primary t.resources ~link ~bw
+
 (* Journal any movement of [link]'s spare pool [SC_i] made by [f] — the
    quantity the multiplexing rule (§5) sizes and the flight recorder's
    spare-change event reports before/after. *)
@@ -135,39 +199,45 @@ let journal_spare t link f =
 let reclaim_spare t link =
   journal_spare t link @@ fun () ->
   let d = spare_deficit t ~link in
-  if d > 0 then ignore (Resources.grow_spare t.resources ~link ~want:d)
+  if d > 0 then begin
+    save_pools t link;
+    ignore (Resources.grow_spare t.resources ~link ~want:d)
+  end
 
 let adjust_spare_after_register t link =
   journal_spare t link @@ fun () ->
   let req = spare_required t ~link in
   let have = Resources.spare_bw t.resources link in
-  if req > have then
+  if req > have then begin
+    save_pools t link;
     let granted = Resources.grow_spare t.resources ~link ~want:(req - have) in
     granted = req - have
+  end
   else true
 
 let adjust_spare_after_unregister t link =
   journal_spare t link @@ fun () ->
   let req = spare_required t ~link in
   let have = Resources.spare_bw t.resources link in
-  if have > req then Resources.shrink_spare t.resources ~link ~amount:(have - req)
+  if have > req then begin
+    save_pools t link;
+    Resources.shrink_spare t.resources ~link ~amount:(have - req)
+  end
 
-(* Register one backup on every link of its route, carrying the edge-LSET of
-   its primary (the backup-path register packet of §2.2).  The spare table
+(* The registration arithmetic of one backup, without the spare
+   adjustment: on every link of its route, the APLV counts for the edge-LSET
+   of its primary (the backup-path register packet of §2.2), both routing
+   mirrors, the backup total and the SRLG spare weights.  The spare table
    is keyed by the primary's {e failure domains} — the SRLG groups its
    edges belong to (one weight unit per group per backup, however many of
    the group's edges the primary crosses) — so {!spare_required} sizes the
    pool for the worst single {e group} failure.  Under the singleton model
    the group list is the edge LSET itself and the bookkeeping is
-   bit-identical to the per-edge original.  Returns false if some link
-   could not reserve the full spare requirement. *)
-let register_backup t ~bw ~primary_edges ~backup_path =
-  let groups = Srlg.groups_of_edges t.srlg primary_edges in
-  let fully_reserved = ref true in
+   bit-identical to the per-edge original. *)
+let register_arith t ~bw ~primary_edges ~groups ~backup_path =
   List.iter
     (fun l ->
       Aplv.register t.aplv.(l) ~edge_lset:primary_edges;
-      t.aplv_updates <- t.aplv_updates + 1;
       let counts = t.conflict_counts.(l) in
       List.iter
         (fun e ->
@@ -179,17 +249,14 @@ let register_backup t ~bw ~primary_edges ~backup_path =
           let w = Option.value ~default:0 (Hashtbl.find_opt t.spare_weight.(l) g) in
           Hashtbl.replace t.spare_weight.(l) g (w + bw))
         groups;
-      t.backup_total.(l) <- t.backup_total.(l) + bw;
-      if not (adjust_spare_after_register t l) then fully_reserved := false)
-    (Path.links backup_path);
-  !fully_reserved
+      t.backup_total.(l) <- t.backup_total.(l) + bw)
+    (Path.links backup_path)
 
-let unregister_backup t ~bw ~primary_edges ~backup_path =
-  let groups = Srlg.groups_of_edges t.srlg primary_edges in
+(* The exact inverse of {!register_arith}. *)
+let unregister_arith t ~bw ~primary_edges ~groups ~backup_path =
   List.iter
     (fun l ->
       Aplv.unregister t.aplv.(l) ~edge_lset:primary_edges;
-      t.aplv_updates <- t.aplv_updates + 1;
       let counts = t.conflict_counts.(l) in
       List.iter
         (fun e ->
@@ -205,9 +272,42 @@ let unregister_backup t ~bw ~primary_edges ~backup_path =
               else if w = bw then Hashtbl.remove t.spare_weight.(l) g
               else Hashtbl.replace t.spare_weight.(l) g (w - bw))
         groups;
-      t.backup_total.(l) <- t.backup_total.(l) - bw;
-      adjust_spare_after_unregister t l)
+      t.backup_total.(l) <- t.backup_total.(l) - bw)
     (Path.links backup_path)
+
+(* Per link of a route just (un)registered: count the packet's visit and
+   adjust the spare pool.  Plain recursion, so the admission path allocates
+   no closure here. *)
+let rec spare_after_register t fully = function
+  | [] -> fully
+  | l :: rest ->
+      t.aplv_updates <- t.aplv_updates + 1;
+      let ok = adjust_spare_after_register t l in
+      spare_after_register t (ok && fully) rest
+
+let rec spare_after_unregister t = function
+  | [] -> ()
+  | l :: rest ->
+      t.aplv_updates <- t.aplv_updates + 1;
+      adjust_spare_after_unregister t l;
+      spare_after_unregister t rest
+
+(* Register one backup: the arithmetic, then per link the odometer and the
+   spare adjustment.  Returns false if some link could not reserve the full
+   spare requirement. *)
+let register_backup t ~bw ~primary_edges ~backup_path =
+  let groups = Srlg.groups_of_edges t.srlg primary_edges in
+  register_arith t ~bw ~primary_edges ~groups ~backup_path;
+  if t.speculating > 0 then
+    push_undo t (Registered { bw; primary_edges; groups; backup_path });
+  spare_after_register t true (Path.links backup_path)
+
+let unregister_backup t ~bw ~primary_edges ~backup_path =
+  let groups = Srlg.groups_of_edges t.srlg primary_edges in
+  unregister_arith t ~bw ~primary_edges ~groups ~backup_path;
+  if t.speculating > 0 then
+    push_undo t (Unregistered { bw; primary_edges; groups; backup_path });
+  spare_after_unregister t (Path.links backup_path)
 
 (* How many extra units link [l] must still be able to host for [backup],
    given reservations the same connection makes on that link with its
@@ -246,7 +346,7 @@ let admit t ~id ~bw ~primary ~backups =
         check_backups (b :: earlier) rest
   in
   check_backups [] backups;
-  List.iter (fun l -> Resources.reserve_primary t.resources ~link:l ~bw) primary_links;
+  List.iter (fun l -> reserve_primary t l bw) primary_links;
   let conn =
     { id; src = Path.src primary; dst = Path.dst primary; bw; primary; backups; degraded = false }
   in
@@ -256,7 +356,8 @@ let admit t ~id ~bw ~primary ~backups =
       if not (register_backup t ~bw ~primary_edges ~backup_path:b) then
         conn.degraded <- true)
     backups;
-  List.iter (fun e -> Hashtbl.replace t.edge_primaries.(e) id conn) primary_edges;
+  List.iter (fun e -> set_index t e id conn) primary_edges;
+  if t.speculating > 0 then push_undo t (Conn_entry (id, None));
   Hashtbl.add t.conns id conn;
   conn
 
@@ -282,7 +383,9 @@ let primaries_crossing_group t ~group =
 
 let remove_primary_index t conn =
   List.iter
-    (fun e -> Hashtbl.remove t.edge_primaries.(e) conn.id)
+    (fun e ->
+      save_index t e conn.id;
+      Hashtbl.remove t.edge_primaries.(e) conn.id)
     (edge_lset_of_path conn.primary)
 
 let touched_links conn =
@@ -299,11 +402,10 @@ let release t ~id =
   | None -> invalid_arg "Net_state.release: unknown connection"
   | Some conn ->
       let links = touched_links conn in
-      List.iter
-        (fun l -> Resources.release_primary t.resources ~link:l ~bw:conn.bw)
-        (Path.links conn.primary);
+      List.iter (fun l -> release_primary t l conn.bw) (Path.links conn.primary);
       unregister_all_backups t conn;
       remove_primary_index t conn;
+      if t.speculating > 0 then push_undo t (Conn_entry (id, Some conn));
       Hashtbl.remove t.conns id;
       (* §5: freed resources flow to spare pools still in deficit. *)
       List.iter (fun l -> reclaim_spare t l) links
@@ -336,9 +438,8 @@ let promote_backup t ~id ?(index = 0) () =
       let chosen = nth_backup conn index in
       if not (activation_feasible t ~id ~index ()) then
         invalid_arg "Net_state.promote_backup: activation infeasible";
-      List.iter
-        (fun l -> Resources.release_primary t.resources ~link:l ~bw:conn.bw)
-        (Path.links conn.primary);
+      save_fields t conn;
+      List.iter (fun l -> release_primary t l conn.bw) (Path.links conn.primary);
       unregister_all_backups t conn;
       (* The activated channel's bandwidth comes from free first, then from
          the shared spare pool — stealing spare is exactly the conflict the
@@ -346,6 +447,7 @@ let promote_backup t ~id ?(index = 0) () =
       List.iter
         (fun l ->
           journal_spare t l @@ fun () ->
+          save_pools t l;
           let free = Resources.free t.resources l in
           if free >= conn.bw then Resources.reserve_primary t.resources ~link:l ~bw:conn.bw
           else begin
@@ -358,9 +460,7 @@ let promote_backup t ~id ?(index = 0) () =
       let remaining = List.filteri (fun i _ -> i <> index) conn.backups in
       conn.primary <- chosen;
       conn.backups <- [];
-      List.iter
-        (fun e -> Hashtbl.replace t.edge_primaries.(e) id conn)
-        (edge_lset_of_path chosen);
+      List.iter (fun e -> set_index t e id conn) (edge_lset_of_path chosen);
       (* Re-register the surviving backups against the new primary's LSET;
          ones the network can no longer host are dropped from the list (the
          recovery driver's step 4 may find replacements). *)
@@ -383,11 +483,10 @@ let reroute_primary t ~id ~primary =
   | Some conn ->
       if Path.src primary <> conn.src || Path.dst primary <> conn.dst then
         invalid_arg "Net_state.reroute_primary: endpoint mismatch";
+      save_fields t conn;
       let old_links = Path.links conn.primary in
       unregister_all_backups t conn;
-      List.iter
-        (fun l -> Resources.release_primary t.resources ~link:l ~bw:conn.bw)
-        old_links;
+      List.iter (fun l -> release_primary t l conn.bw) old_links;
       (* All-or-nothing reservation of the new route. *)
       let new_links = Path.links primary in
       let feasible =
@@ -406,25 +505,19 @@ let reroute_primary t ~id ~primary =
       if not feasible then begin
         (* Roll back: re-reserve the old primary (its bandwidth was just
            freed, so this cannot fail) and re-register the backups. *)
-        List.iter
-          (fun l -> Resources.reserve_primary t.resources ~link:l ~bw:conn.bw)
-          old_links;
+        List.iter (fun l -> reserve_primary t l conn.bw) old_links;
         let primary_edges = edge_lset_of_path conn.primary in
         List.iter
           (fun b -> ignore (register_backup t ~bw:conn.bw ~primary_edges ~backup_path:b))
           conn.backups;
         invalid_arg "Net_state.reroute_primary: insufficient free bandwidth"
       end;
-      List.iter
-        (fun l -> Resources.reserve_primary t.resources ~link:l ~bw:conn.bw)
-        new_links;
+      List.iter (fun l -> reserve_primary t l conn.bw) new_links;
       remove_primary_index t conn;
       let backups = conn.backups in
       conn.primary <- primary;
       conn.backups <- [];
-      List.iter
-        (fun e -> Hashtbl.replace t.edge_primaries.(e) id conn)
-        (edge_lset_of_path primary);
+      List.iter (fun e -> set_index t e id conn) (edge_lset_of_path primary);
       let primary_edges = edge_lset_of_path primary in
       List.iter
         (fun b ->
@@ -441,6 +534,7 @@ let replace_backups t ~id ~backups =
   match Hashtbl.find_opt t.conns id with
   | None -> invalid_arg "Net_state.replace_backups: unknown connection"
   | Some conn ->
+      save_fields t conn;
       let primary_edges = edge_lset_of_path conn.primary in
       unregister_all_backups t conn;
       conn.backups <- [];
@@ -463,6 +557,7 @@ let replace_backups_drop t ~id ~backups =
   match Hashtbl.find_opt t.conns id with
   | None -> invalid_arg "Net_state.replace_backups_drop: unknown connection"
   | Some conn ->
+      save_fields t conn;
       let primary_edges = edge_lset_of_path conn.primary in
       unregister_all_backups t conn;
       conn.backups <- [];
@@ -490,9 +585,9 @@ let replace_backups_drop t ~id ~backups =
       conn.backups <- kept;
       kept
 
-let fail_edge t ~edge = t.failed.(edge) <- true
+let fail_edge t ~edge = set_failed t edge true
 let edge_failed t ~edge = t.failed.(edge)
-let restore_edge t ~edge = t.failed.(edge) <- false
+let restore_edge t ~edge = set_failed t edge false
 
 let incident_edges t node =
   Array.to_list (Graph.out_links t.graph node) |> List.map Graph.edge_of_link
@@ -509,116 +604,35 @@ let fail_node t ~node =
 let restore_node t ~node =
   List.iter (fun e -> restore_edge t ~edge:e) (incident_edges t node)
 
-(* ---- snapshot / rollback -------------------------------------------------
-   Speculative admissions and what-if failure probes must never mutate the
-   truth.  A snapshot deep-copies every mutable piece of the state —
-   resource pools, APLVs and both PR 4 mirrors, the SRLG spare-weight
-   tables, the connection table (with fresh [conn] records, since those are
-   themselves mutable), the primary index and the failure flags — and a
-   rollback writes it all back {e in place}, preserving the physical
-   identity of [t] (route functions and managers close over it).  The
-   graph, SRLG model and capacities are immutable and shared.
+(* Undo entries write the saved values back directly, bypassing the
+   logging mutators above, so unwinding never logs. *)
+let undo_entry t = function
+  | Pools (link, prime, spare) -> Resources.set_link t.resources ~link ~prime ~spare
+  | Registered { bw; primary_edges; groups; backup_path } ->
+      unregister_arith t ~bw ~primary_edges ~groups ~backup_path
+  | Unregistered { bw; primary_edges; groups; backup_path } ->
+      register_arith t ~bw ~primary_edges ~groups ~backup_path
+  | Conn_entry (id, None) -> Hashtbl.remove t.conns id
+  | Conn_entry (id, Some c) -> Hashtbl.replace t.conns id c
+  | Index_entry (e, id, None) -> Hashtbl.remove t.edge_primaries.(e) id
+  | Index_entry (e, id, Some c) -> Hashtbl.replace t.edge_primaries.(e) id c
+  | Conn_fields (c, primary, backups, degraded) ->
+      c.primary <- primary;
+      c.backups <- backups;
+      c.degraded <- degraded
+  | Failed (e, v) -> t.failed.(e) <- v
 
-   Capture with [~into] reuses a previous snapshot's arrays and hashtables,
-   so the steady-state cost of a what-if is two memcpy-style sweeps of the
-   mutable state, with no per-capture large allocations. *)
-
-module Snapshot = struct
-  type state = t
-
-  type t = {
-    s_resources : Resources.snapshot;
-    s_aplv : Aplv.t array;
-    s_aplv_norm : int array;
-    s_conflict : int array array;
-    s_spare_weight : (int, int) Hashtbl.t array;
-    s_backup_total : int array;
-    mutable s_conns : conn list; (* deep copies, sorted by id *)
-    s_failed : bool array;
-    mutable s_aplv_updates : int;
-  }
-
-  let copy_conn (c : conn) =
-    {
-      id = c.id;
-      src = c.src;
-      dst = c.dst;
-      bw = c.bw;
-      primary = c.primary;
-      backups = c.backups;
-      degraded = c.degraded;
-    }
-
-  let copy_table ~into ~from =
-    Hashtbl.reset into;
-    Hashtbl.iter (fun k v -> Hashtbl.replace into k v) from
-
-  let conn_list (st : state) =
-    Hashtbl.fold (fun _ c acc -> copy_conn c :: acc) st.conns []
-    |> List.sort (fun a b -> compare a.id b.id)
-
-  let capture ?into (st : state) =
-    let links = Graph.link_count st.graph in
-    let edges = Graph.edge_count st.graph in
-    let fresh () =
-      {
-        s_resources = Resources.capture st.resources;
-        s_aplv = Array.map Aplv.copy st.aplv;
-        s_aplv_norm = Array.copy st.aplv_norm;
-        s_conflict = Array.map Array.copy st.conflict_counts;
-        s_spare_weight = Array.map Hashtbl.copy st.spare_weight;
-        s_backup_total = Array.copy st.backup_total;
-        s_conns = conn_list st;
-        s_failed = Array.copy st.failed;
-        s_aplv_updates = st.aplv_updates;
-      }
-    in
-    match into with
-    | Some s
-      when Array.length s.s_aplv = links && Array.length s.s_failed = edges ->
-        ignore (Resources.capture ~into:s.s_resources st.resources : Resources.snapshot);
-        for l = 0 to links - 1 do
-          Aplv.assign ~into:s.s_aplv.(l) ~from:st.aplv.(l);
-          Array.blit st.conflict_counts.(l) 0 s.s_conflict.(l) 0 edges;
-          copy_table ~into:s.s_spare_weight.(l) ~from:st.spare_weight.(l)
-        done;
-        Array.blit st.aplv_norm 0 s.s_aplv_norm 0 links;
-        Array.blit st.backup_total 0 s.s_backup_total 0 links;
-        Array.blit st.failed 0 s.s_failed 0 edges;
-        s.s_conns <- conn_list st;
-        s.s_aplv_updates <- st.aplv_updates;
-        s
-    | Some _ | None -> fresh ()
-
-  let rollback (st : state) s =
-    let links = Graph.link_count st.graph in
-    let edges = Graph.edge_count st.graph in
-    if Array.length s.s_aplv <> links || Array.length s.s_failed <> edges then
-      invalid_arg "Net_state.Snapshot.rollback: snapshot shape mismatch";
-    Resources.restore st.resources s.s_resources;
-    for l = 0 to links - 1 do
-      Aplv.assign ~into:st.aplv.(l) ~from:s.s_aplv.(l);
-      Array.blit s.s_conflict.(l) 0 st.conflict_counts.(l) 0 edges;
-      copy_table ~into:st.spare_weight.(l) ~from:s.s_spare_weight.(l)
-    done;
-    Array.blit s.s_aplv_norm 0 st.aplv_norm 0 links;
-    Array.blit s.s_backup_total 0 st.backup_total 0 links;
-    Array.blit s.s_failed 0 st.failed 0 edges;
-    (* Restore the connection table from fresh copies — the speculative run
-       may have mutated the live records in place — and rebuild the
-       primary index to point at the restored records. *)
-    Hashtbl.reset st.conns;
-    Array.iter Hashtbl.reset st.edge_primaries;
-    List.iter
-      (fun saved ->
-        let c = copy_conn saved in
-        Hashtbl.add st.conns c.id c;
-        List.iter
-          (fun e -> Hashtbl.replace st.edge_primaries.(e) c.id c)
-          (edge_lset_of_path c.primary))
-      s.s_conns;
-    st.aplv_updates <- s.s_aplv_updates
-end
+(* The [aplv_updates] odometer only counts up, so it is saved once per
+   speculation instead of once per link visit. *)
+let speculate t f =
+  let outer = t.undo and aplv_updates = t.aplv_updates in
+  t.undo <- [];
+  t.speculating <- t.speculating + 1;
+  Fun.protect f ~finally:(fun () ->
+      List.iter (undo_entry t) t.undo;
+      t.undo <- outer;
+      t.speculating <- t.speculating - 1;
+      t.aplv_updates <- aplv_updates)
 
 (* ---- serialization (checkpoint) ------------------------------------------
    A checkpoint cannot re-run admissions: the digest includes the
@@ -679,25 +693,6 @@ module Serial = struct
       r_conns = conns;
     }
 
-  (* Registration arithmetic only — compare {!register_backup}. *)
-  let register_arith (t : t) ~bw ~primary_edges ~groups ~backup_path =
-    List.iter
-      (fun l ->
-        Aplv.register t.aplv.(l) ~edge_lset:primary_edges;
-        let counts = t.conflict_counts.(l) in
-        List.iter
-          (fun e ->
-            counts.(e) <- counts.(e) + 1;
-            t.aplv_norm.(l) <- t.aplv_norm.(l) + 1)
-          primary_edges;
-        List.iter
-          (fun g ->
-            let w = Option.value ~default:0 (Hashtbl.find_opt t.spare_weight.(l) g) in
-            Hashtbl.replace t.spare_weight.(l) g (w + bw))
-          groups;
-        t.backup_total.(l) <- t.backup_total.(l) + bw)
-      (Path.links backup_path)
-
   let restore (t : t) (r : repr) =
     let links = Graph.link_count t.graph in
     let edges = Graph.edge_count t.graph in
@@ -705,9 +700,10 @@ module Serial = struct
       Array.length r.r_prime <> links
       || Array.length r.r_failed <> edges
     then invalid_arg "Net_state.Serial.restore: topology shape mismatch";
-    let empty = Aplv.create () in
+    if t.speculating > 0 then
+      invalid_arg "Net_state.Serial.restore: inside a speculation";
     for l = 0 to links - 1 do
-      Aplv.assign ~into:t.aplv.(l) ~from:empty;
+      Aplv.clear t.aplv.(l);
       Array.fill t.conflict_counts.(l) 0 edges 0;
       t.aplv_norm.(l) <- 0;
       t.backup_total.(l) <- 0;
@@ -784,14 +780,23 @@ let check_invariants t =
       let expect_weight = Array.init links (fun _ -> Hashtbl.create 8) in
       let expect_backups = Array.make links 0 in
       let expect_total = Array.make links 0 in
+      (* Primary-index entries the connection table accounts for, each
+         checked to be bound to its connection's own record. *)
+      let indexed = ref 0 and index_miss = ref None in
       Hashtbl.iter
         (fun _ conn ->
           List.iter
             (fun l -> expect_prime.(l) <- expect_prime.(l) + conn.bw)
             (Path.links conn.primary);
-          let groups =
-            Srlg.groups_of_edges t.srlg (edge_lset_of_path conn.primary)
-          in
+          let edges = edge_lset_of_path conn.primary in
+          List.iter
+            (fun e ->
+              incr indexed;
+              match Hashtbl.find_opt t.edge_primaries.(e) conn.id with
+              | Some c when c == conn -> ()
+              | _ -> if !index_miss = None then index_miss := Some (e, conn.id))
+            edges;
+          let groups = Srlg.groups_of_edges t.srlg edges in
           List.iter
             (fun b ->
               List.iter
@@ -834,4 +839,14 @@ let check_invariants t =
         let have = Resources.spare_bw t.resources l in
         if have > req then fail "link %d: spare %d exceeds requirement %d" l have req
       done;
+      (match !index_miss with
+      | Some (e, id) -> fail "edge %d: primary index misses connection %d" e id
+      | None ->
+          (* Every expected entry is present, so any surplus is stale. *)
+          let entries =
+            Array.fold_left (fun n idx -> n + Hashtbl.length idx) 0 t.edge_primaries
+          in
+          if entries <> !indexed then
+            fail "primary index holds %d entries, connections need %d" entries
+              !indexed);
       match !issue with None -> Ok () | Some msg -> Error msg))

@@ -32,10 +32,11 @@ type conn = {
   dst : int;
   bw : int;
   mutable primary : Dr_topo.Path.t;
-      (** mutated only by {!promote_backup} (DRTP step 3). *)
+      (** mutated by {!promote_backup} (DRTP step 3) and
+          {!reroute_primary}. *)
   mutable backups : Dr_topo.Path.t list;
-      (** in priority order; mutated by {!promote_backup} and
-          {!replace_backups}. *)
+      (** in priority order; mutated by {!promote_backup},
+          {!reroute_primary} and {!replace_backups}. *)
   mutable degraded : bool;
       (** true if, at some point while registered, a link of some backup
           could not reserve the spare the policy asked for (conflicting
@@ -223,35 +224,29 @@ val fail_node : t -> node:int -> unit
 
 val restore_node : t -> node:int -> unit
 
-(** {1 Snapshot / rollback}
+(** {1 Speculation}
 
-    Speculative admissions and what-if failure probes (the service layer's
-    [what_if_admit] / [what_if_fail_edge]) run against the truth and then
-    roll it back, so the mutable state must be restorable {e bit-exactly}:
-    resource pools, per-link APLVs, the PR 4 [aplv_norm]/conflict-count
-    mirrors, the SRLG spare-weight tables ([SC_i] sizing), the connection
-    table, the primary index and the failure flags.  The immutable model
-    (graph, SRLG, capacities) is shared, not copied. *)
+    Speculative admissions (the service layer's [what_if_admit]) run
+    against the truth and are then undone, so every mutation must be
+    reversible {e bit-exactly}.  While a speculation is open, each mutator
+    above logs what it overwrites — a link's prime/spare pools before the
+    change, the registration arithmetic of each backup it registers or
+    unregisters, connection-table and primary-index entries, a
+    connection's route, backups and [degraded] flag, failure flags — and
+    the log is replayed backwards when the speculation ends.  The cost of
+    a speculation is therefore proportional to what it changes, not to
+    the size of the network.  Outside a speculation the log costs one
+    integer test per mutation and allocates nothing. *)
 
-module Snapshot : sig
-  type state := t
-
-  type t
-  (** A deep copy of one state's mutable truth. *)
-
-  val capture : ?into:t -> state -> t
-  (** Snapshot the state.  [~into] reuses the buffers of a previous
-      snapshot of the same topology (allocation-light steady state; a
-      shape mismatch falls back to a fresh snapshot). *)
-
-  val rollback : state -> t -> unit
-  (** Restore the state, in place, to exactly the captured truth —
-      including fresh connection records (speculative runs may have
-      mutated the live ones) and a rebuilt primary index.  The state
-      value's physical identity is preserved: closures and managers
-      holding it stay valid.  Raises [Invalid_argument] if the snapshot
-      came from a different topology. *)
-end
+val speculate : t -> (unit -> 'a) -> 'a
+(** [speculate t f] runs [f ()] and then undoes every mutation [f] made to
+    [t], whether [f] returns or raises; an exception is re-raised after the
+    undo.  Afterwards the state is bit-identical to the state before —
+    resource pools, APLVs and their routing mirrors, SRLG spare weights,
+    the connection table (the same physical [conn] records, with their
+    fields restored), the primary index, failure flags and the
+    [aplv_updates] odometer.  Speculations nest.  {!Serial.restore} must
+    not be called inside one. *)
 
 (** {1 Serialization (checkpoints)}
 
@@ -292,8 +287,8 @@ module Serial : sig
   val restore : t -> repr -> unit
   (** Overwrite a same-topology state, in place, with the dumped truth.
       Emits no journal events.  Raises [Invalid_argument] on a topology
-      shape mismatch or if a dumped route is not a valid path of the
-      state's graph. *)
+      shape mismatch, if a dumped route is not a valid path of the
+      state's graph, or inside a {!speculate}. *)
 end
 
 (** {1 Integrity} *)
@@ -302,5 +297,6 @@ val check_invariants : t -> (unit, string) result
 (** Deep check: resource invariants, routing-cache coherence
     ({!check_routing_caches}), APLV consistency against the connection
     table, spare levels not above policy requirement plus deficit
-    bookkeeping coherent.  O(connections × path length + links × edges);
+    bookkeeping coherent, and a primary index that matches the connection
+    table.  O(connections × path length + links × edges);
     test and debug use. *)

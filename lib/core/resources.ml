@@ -57,38 +57,18 @@ let spare_to_prime t ~link ~bw =
   t.spare.(link) <- t.spare.(link) - bw;
   t.prime.(link) <- t.prime.(link) + bw
 
-(* ---- snapshots ----------------------------------------------------------- *)
-
-(* Capacities are immutable after construction, so a snapshot carries only
-   the two mutable pools.  [capture ~into] reuses the buffers of an earlier
-   snapshot of a same-shaped state, making steady-state captures
-   allocation-free. *)
-
-type snapshot = { s_prime : int array; s_spare : int array }
-
-let capture ?into t =
-  let n = Array.length t.prime in
-  match into with
-  | Some s when Array.length s.s_prime = n ->
-      Array.blit t.prime 0 s.s_prime 0 n;
-      Array.blit t.spare 0 s.s_spare 0 n;
-      s
-  | Some _ | None -> { s_prime = Array.copy t.prime; s_spare = Array.copy t.spare }
-
-let restore t s =
-  let n = Array.length t.prime in
-  if Array.length s.s_prime <> n then
-    invalid_arg "Resources.restore: snapshot link count mismatch";
-  Array.blit s.s_prime 0 t.prime 0 n;
-  Array.blit s.s_spare 0 t.spare 0 n
-
 (* ---- serialization hooks ------------------------------------------------- *)
 
-(* Checkpointing (dr_persist) needs the raw pools: copies out, blits in.
-   [set_pools] validates lengths but not the pool invariants — callers run
-   [check_invariants] after a full state restore. *)
+(* Checkpointing (dr_persist) needs the raw pools: copies out, blits in;
+   {!Net_state}'s undo log puts one link's saved values back.  Neither
+   setter re-checks the pool invariants — callers run [check_invariants]
+   after a full state restore. *)
 
 let pools t = (Array.copy t.prime, Array.copy t.spare)
+
+let set_link t ~link ~prime ~spare =
+  t.prime.(link) <- prime;
+  t.spare.(link) <- spare
 
 let set_pools t ~prime ~spare =
   let n = Array.length t.prime in

@@ -59,25 +59,14 @@ val spare_to_prime : t -> link:int -> bw:int -> unit
     on this link (the promoted channel now carries traffic).  Raises
     [Invalid_argument] if [spare_bw < bw]. *)
 
-(** {1 Snapshots}
-
-    Capacities are immutable, so a snapshot records only the prime and
-    spare pools.  Used by {!Net_state}'s snapshot/rollback layer. *)
-
-type snapshot
-
-val capture : ?into:snapshot -> t -> snapshot
-(** Copy the mutable pools.  [~into] reuses a previous snapshot's buffers
-    when the link counts match (allocation-free steady state); otherwise a
-    fresh snapshot is returned. *)
-
-val restore : t -> snapshot -> unit
-(** Overwrite the pools from a snapshot.  Raises [Invalid_argument] on a
-    link-count mismatch (snapshot taken from a different topology). *)
-
 val pools : t -> int array * int array
 (** [(prime, spare)] as fresh copies — the raw material a checkpoint
     serialises. *)
+
+val set_link : t -> link:int -> prime:int -> spare:int -> unit
+(** Overwrite one link's prime and spare pools — how {!Net_state}'s undo
+    log puts back the values a speculation changed.  Pool invariants are
+    {e not} re-checked. *)
 
 val set_pools : t -> prime:int array -> spare:int array -> unit
 (** Overwrite both pools from arrays (checkpoint restore).  Raises

@@ -25,9 +25,9 @@ let label p =
     (Config.traffic_name p.traffic)
     p.lambda p.avg_degree p.serve.Serve.sv_batch
 
-let run ?pool (cfg : Config.t) (p : params) =
+let run (cfg : Config.t) (p : params) =
   let graph = Config.make_graph cfg ~avg_degree:p.avg_degree in
   let scenario = Config.make_scenario cfg p.traffic ~lambda:p.lambda in
   let route = Routing.link_state_route_fn p.scheme ~with_backup:true in
-  Serve.run ?pool p.serve ~graph ~capacity:cfg.Config.capacity
+  Serve.run p.serve ~graph ~capacity:cfg.Config.capacity
     ~spare_policy:Net_state.Multiplexed ~route ~scenario

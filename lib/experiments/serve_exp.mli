@@ -2,10 +2,9 @@
     scenario and router → {!Dr_service.Serve.run}.
 
     Keeps the CLI thin: [drtp_sim serve] builds {!params} from flags and
-    calls {!run}; tests call {!run} directly for jobs-identity checks.
-    Restricted to the link-state schemes — bounded flooding shares mutable
-    flood statistics across admissions and cannot back concurrent what-if
-    replicas (see {!Dr_service.Serve.run}). *)
+    calls {!run}.  Restricted to the link-state schemes — bounded flooding
+    shares mutable flood statistics across admissions (see
+    {!Dr_service.Serve.run}). *)
 
 type params = {
   scheme : Drtp.Routing.scheme;
@@ -20,5 +19,4 @@ val default : params
 
 val label : params -> string
 
-val run :
-  ?pool:Dr_parallel.Pool.t -> Config.t -> params -> Dr_service.Serve.report
+val run : Config.t -> params -> Dr_service.Serve.report

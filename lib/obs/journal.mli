@@ -149,8 +149,8 @@ type event =
           remote entries averaged [age] seconds old; [divergent] marks
           the route differing from the omniscient route *)
   | What_if of { conn : int; src : int; dst : int; verdict : string }
-      (** a speculative admission probe ran against a snapshot and was
-          rolled back: the truth is unchanged, [verdict] records what the
+      (** a speculative admission probe ran against the live state and
+          was undone: the truth is unchanged, [verdict] records what the
           admission would have returned ("accepted", "no-primary",
           "no-backup") *)
   | Batch_done of { size : int; accepted : int }

@@ -6,9 +6,8 @@
     byte-identical to admitting the same requests one by one.  What the
     batch amortises is everything {e around} an admission — the
     generation-stamped per-domain routing workspaces stay warm across the
-    whole batch instead of being re-validated per call, journal bookkeeping
-    is batched into one [batch-done] event, and the serve loop refreshes
-    its what-if snapshot once per batch rather than once per query. *)
+    whole batch instead of being re-validated per call, and journal
+    bookkeeping is batched into one [batch-done] event. *)
 
 type request = {
   rq_conn : int;

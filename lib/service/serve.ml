@@ -2,7 +2,6 @@ module Manager = Drtp.Manager
 module Net_state = Drtp.Net_state
 module Scenario = Dr_sim.Scenario
 module Graph = Dr_topo.Graph
-module Pool = Dr_parallel.Pool
 module Sm = Dr_rng.Splitmix64
 module Histogram = Dr_stats.Histogram
 module J = Dr_obs.Journal
@@ -52,7 +51,7 @@ let default =
 
 type report = {
   (* Deterministic: identical for a given (scenario, config) regardless of
-     --jobs or machine speed; printed by pp_deterministic and diffed in CI. *)
+     machine speed; printed by pp_deterministic and diffed in CI. *)
   rp_requests : int;
   rp_accepted : int;
   rp_rejected_no_primary : int;
@@ -122,32 +121,7 @@ let pp_timing ppf r =
     "serve-timing: alloc=%.1fMB (%.2fKB/req) major-collections=%d@."
     r.rp_alloc_mb r.rp_alloc_kb_per_req r.rp_major_collections
 
-(* One speculative-admission slice, executed on a dedicated replica manager
-   (possibly in a worker domain).  The replica is first rolled back to the
-   shared truth snapshot, then each query runs through the exact
-   {!Service.what_if_admit} path against it.  The whole slice is wrapped in
-   {!J.capture} so worker-side journal events and causal-RNG draws are
-   discarded — the coordinator re-records the [what-if] events in query
-   order, which is what makes the serve journal byte-identical across
-   [--jobs] values. *)
-let eval_slice replica snap ~now queries =
-  fst
-    (J.capture ~capacity:1024 ~trace_seed:0 (fun () ->
-         Manager.rollback (Service.manager replica) snap;
-         List.map
-           (fun (conn, src, dst, bw) ->
-             Service.what_if_admit ~conn replica ~now ~src ~dst ~bw)
-           queries))
-
-let slice_of queries ~jobs ~index =
-  let n = Array.length queries in
-  let base = n / jobs and extra = n mod jobs in
-  let start = (index * base) + min index extra in
-  let len = base + if index < extra then 1 else 0 in
-  Array.to_list (Array.sub queries start len)
-
-let run ?pool config ~graph ~capacity ~spare_policy ~route ~scenario =
-  let jobs = match pool with Some p -> Pool.jobs p | None -> 1 in
+let run config ~graph ~capacity ~spare_policy ~route ~scenario =
   if config.sv_crash_every > 0 && config.sv_wal = None then
     invalid_arg "Serve.run: sv_crash_every requires sv_wal";
   (* Refs, not lets: a crash replaces the manager and its service wrapper
@@ -174,16 +148,6 @@ let run ?pool config ~graph ~capacity ~spare_policy ~route ~scenario =
   let nodes = Graph.node_count graph in
   let edges = Graph.edge_count graph in
   let what_ifs_on = config.sv_what_if_every > 0 && config.sv_what_if_burst > 0 in
-  (* Replica managers for what-if fanout: same constructor arguments as the
-     truth manager, brought to the truth by rollback before every slice.
-     One per pool slot so concurrent slices never share mutable state. *)
-  let replicas =
-    if what_ifs_on then
-      Array.init jobs (fun _ ->
-          Service.create (Manager.create ~graph ~capacity ~spare_policy ~route))
-    else [||]
-  in
-  let truth_snap = ref None in
   let next_probe = ref 900_000_000 in
   let next_synthetic = ref 800_000_000 in
   (* Counters for the deterministic report. *)
@@ -200,46 +164,22 @@ let run ?pool config ~graph ~capacity ~spare_policy ~route ~scenario =
   let violations = ref [] in
   let latencies = ref [] in
   let sim_now = ref 0.0 in
+  (* Each query speculates on the truth service in query order; the
+     service records its [what-if] journal event. *)
   let what_if_round () =
-    what_ifs := !what_ifs + config.sv_what_if_burst;
-    (* All RNG draws happen here, in the coordinator, so the query stream —
-       and with it the whole deterministic report — is independent of the
-       jobs split. *)
-    let queries =
-      Array.init config.sv_what_if_burst (fun _ ->
-          let src = Sm.int rng nodes in
-          let dst = (src + 1 + Sm.int rng (nodes - 1)) mod nodes in
-          let conn = !next_probe in
-          incr next_probe;
-          (conn, src, dst, config.sv_bw))
-    in
-    let snap = Manager.snapshot ?into:!truth_snap !manager in
-    truth_snap := Some snap;
-    let now = !sim_now in
-    let tasks = Array.init jobs (fun i -> (i, slice_of queries ~jobs ~index:i)) in
-    let eval (i, qs) = eval_slice replicas.(i) snap ~now qs in
-    let verdict_slices =
-      match pool with
-      | Some p ->
-          Array.map
-            (function
-              | Ok vs -> vs
-              | Error (e : Pool.error) ->
-                  failwith ("serve: what-if slice failed: " ^ e.message))
-            (Pool.map p eval tasks)
-      | None -> Array.map eval tasks
-    in
-    let verdicts = Array.to_list verdict_slices |> List.concat in
-    List.iteri
-      (fun i v ->
-        let conn, src, dst, _bw = queries.(i) in
-        (match v with
-        | Service.Accepted _ -> incr what_if_accepted
-        | Service.Rejected _ -> ());
-        if !J.on then
-          J.record
-            (J.What_if { conn; src; dst; verdict = Service.verdict_name v }))
-      verdicts
+    for _ = 1 to config.sv_what_if_burst do
+      incr what_ifs;
+      let src = Sm.int rng nodes in
+      let dst = (src + 1 + Sm.int rng (nodes - 1)) mod nodes in
+      let conn = !next_probe in
+      incr next_probe;
+      match
+        Service.what_if_admit ~conn !service ~now:!sim_now ~src ~dst
+          ~bw:config.sv_bw
+      with
+      | Service.Accepted _ -> incr what_if_accepted
+      | Service.Rejected _ -> ()
+    done
   in
   let probe_round () =
     incr fail_probes;
@@ -251,8 +191,7 @@ let run ?pool config ~graph ~capacity ~spare_policy ~route ~scenario =
     incr inv_checks;
     let fail msg =
       incr inv_failures;
-      (* Buffered, not printed: mid-run stderr writes would interleave
-         non-deterministically with stdout under --jobs > 1. *)
+      (* Buffered, not printed: stdout and stderr each stay byte-stable. *)
       violations := (!batches, msg) :: !violations
     in
     (match Net_state.check_invariants (Manager.state !manager) with
@@ -352,7 +291,7 @@ let run ?pool config ~graph ~capacity ~spare_policy ~route ~scenario =
       (* Deadline shedding: a request that waited in the queue past its
          deadline is rejected outright (with a journalled verdict) rather
          than admitted late.  Decided on simulation time, so it is
-         deterministic and jobs-independent. *)
+         deterministic. *)
       let pending =
         if config.sv_deadline > 0.0 then begin
           let keep, late =

@@ -12,16 +12,17 @@
     [sv_check_every].
 
     {b Determinism.}  The report splits into a deterministic half (all the
-    counts — printed by {!pp_deterministic}, diffed across [--jobs] in CI)
-    and a wall-clock half ({!pp_timing}).  What-if queries are drawn from a
-    seeded generator in the coordinator and evaluated on {e replica}
-    managers (same constructor arguments, rolled back to a truth snapshot
-    before each slice), with worker-side journal traffic captured and
-    discarded and the [what-if] events re-recorded by the coordinator in
-    query order — so counts, journal bytes and trace ids are independent of
-    the jobs split.  Invariant violations are buffered into the report
-    ([rp_violations]) instead of written to stderr mid-run, so stdout and
-    stderr never interleave and each stream is byte-stable on its own.
+    counts — printed by {!pp_deterministic} and diffed in CI) and a
+    wall-clock half ({!pp_timing}).  Everything runs on the calling
+    domain.  What-if queries are drawn from a seeded generator and each
+    speculates on the truth service in query order
+    ({!Service.what_if_admit}: one admission, then its undo), which keeps
+    speculative journal traffic out of the live journal and records one
+    [what-if] event per query — so counts, journal bytes and trace ids are
+    the same with what-ifs on or off, apart from those events.  Invariant
+    violations are buffered into the report ([rp_violations]) instead of
+    written to stderr mid-run, so stdout and stderr never interleave and
+    each stream is byte-stable on its own.
 
     {b Durability} ([sv_wal]).  With a WAL path set, every admission and
     release is appended through {!Dr_persist.Persist} {e before} it mutates
@@ -38,8 +39,8 @@
     never stalled); [sv_deadline] sheds requests whose queue wait exceeds
     their deadline at flush time; [sv_overload_every]/[sv_overload_burst]
     inject seeded synthetic request bursts to provoke both.  All decisions
-    are made on simulation time and coordinator-drawn randomness, so
-    shedding is deterministic and jobs-independent. *)
+    are made on simulation time and seeded randomness, so shedding is
+    deterministic. *)
 
 type config = {
   sv_batch : int;  (** requests per batch *)
@@ -106,14 +107,13 @@ type report = {
 }
 
 val pp_deterministic : Format.formatter -> report -> unit
-(** The diffable half: counts only, identical across [--jobs] and machines
-    for a fixed scenario and config. *)
+(** The diffable half: counts only, identical across machines for a fixed
+    scenario and config. *)
 
 val pp_timing : Format.formatter -> report -> unit
 (** The wall-clock half: throughput, latency quantiles, allocation rate. *)
 
 val run :
-  ?pool:Dr_parallel.Pool.t ->
   config ->
   graph:Dr_topo.Graph.t ->
   capacity:int ->
@@ -121,8 +121,6 @@ val run :
   route:Drtp.Routing.route_fn ->
   scenario:Dr_sim.Scenario.t ->
   report
-(** Drive [scenario] through a fresh manager.  [route] must be safe to run
-    concurrently on independent managers (the link-state routers are;
-    bounded flooding shares mutable flood statistics and is not supported
-    here).  Without [pool] everything runs on the calling domain; with one,
-    what-if bursts fan out across its workers. *)
+(** Drive [scenario] through a fresh manager, on the calling domain.
+    [route] is a link-state router (bounded flooding shares mutable flood
+    statistics and is not supported here). *)

@@ -17,14 +17,11 @@ let equal_verdict (a : verdict) (b : verdict) = a = b
 
 type t = {
   manager : Manager.t;
-  mutable scratch : Manager.snapshot option;
-      (* reused capture buffer: after the first what-if, speculation
-         allocates no large arrays *)
   mutable next_probe_id : int;
       (* ids for journalled what-if probes, far above scenario conn ids *)
 }
 
-let create manager = { manager; scratch = None; next_probe_id = 900_000_000 }
+let create manager = { manager; next_probe_id = 900_000_000 }
 let manager t = t.manager
 
 (* One admission through the exact sequential path ({!Manager.apply} on a
@@ -54,19 +51,18 @@ let release_now t ~now ~conn =
   Manager.apply t.manager
     { Scenario.time = now; event = Scenario.Release { conn } }
 
-let take_snapshot t =
-  let snap = Manager.snapshot ?into:t.scratch t.manager in
-  t.scratch <- Some snap;
-  snap
+(* A speculation undoes the manager and its state on both exits
+   ({!Manager.speculate}) and is isolated from the live journal with
+   {!J.capture}: its events land in a throwaway ring and the causal-trace
+   RNG is saved/restored, so a what-if perturbs neither the journal bytes
+   nor the trace ids of subsequent real admissions. *)
+let speculate t f =
+  Manager.speculate t.manager (fun () ->
+      fst (J.capture ~capacity:256 ~trace_seed:0 f))
 
-(* Speculative runs are isolated from the live journal with {!J.capture}:
-   their events land in a throwaway ring and the causal-trace RNG is
-   saved/restored, so a what-if perturbs neither the journal bytes nor the
-   trace ids of subsequent real admissions (a [--jobs] byte-identity
-   requirement). *)
-let speculate f =
-  let v, _discarded = J.capture ~capacity:256 ~trace_seed:0 f in
-  v
+let record_what_if ~conn ~src ~dst verdict =
+  if !J.on then
+    J.record (J.What_if { conn; src; dst; verdict = verdict_name verdict })
 
 let what_if_admit ?conn t ~now ~src ~dst ~bw =
   let conn =
@@ -77,11 +73,8 @@ let what_if_admit ?conn t ~now ~src ~dst ~bw =
         t.next_probe_id <- id + 1;
         id
   in
-  let snap = take_snapshot t in
-  let verdict = speculate (fun () -> admit_now t ~now ~conn ~src ~dst ~bw) in
-  Manager.rollback t.manager snap;
-  if !J.on then
-    J.record (J.What_if { conn; src; dst; verdict = verdict_name verdict });
+  let verdict = speculate t (fun () -> admit_now t ~now ~conn ~src ~dst ~bw) in
+  record_what_if ~conn ~src ~dst verdict;
   verdict
 
 let what_if_admit_set ?(first_conn = -1) t ~now reqs =
@@ -93,27 +86,18 @@ let what_if_admit_set ?(first_conn = -1) t ~now reqs =
       id
     end
   in
-  let snap = take_snapshot t in
   let verdicts =
-    speculate (fun () ->
+    speculate t (fun () ->
         List.mapi
           (fun i (src, dst, bw) ->
             admit_now t ~now ~conn:(first + i) ~src ~dst ~bw)
           reqs)
   in
-  Manager.rollback t.manager snap;
   if !J.on then
     List.iteri
-      (fun i (src, dst, _bw) ->
-        J.record
-          (J.What_if
-             {
-               conn = first + i;
-               src;
-               dst;
-               verdict = verdict_name (List.nth verdicts i);
-             }))
-      reqs;
+      (fun i ((src, dst, _bw), verdict) ->
+        record_what_if ~conn:(first + i) ~src ~dst verdict)
+      (List.combine reqs verdicts);
   verdicts
 
 type fail_probe = {
@@ -124,7 +108,7 @@ type fail_probe = {
 
 (* "What breaks if L_i fails?" is served straight from the precomputed
    state: {!Failure_eval.evaluate_edge} is hypothetical by construction
-   (it never mutates), so no snapshot is needed. *)
+   (it never mutates), so nothing needs undoing. *)
 let what_if_fail_edge t ~edge =
   let o = Failure_eval.evaluate_edge (Manager.state t.manager) ~edge in
   {

@@ -2,7 +2,7 @@
    crash-recovery bit-identity against an uncrashed run (the property the
    CI crash-equivalence gate enforces end-to-end), recovery idempotence,
    crash-schedule determinism, and the reprotect-queue drain-order
-   regression across snapshot/rollback under an active loss plan. *)
+   regression across speculation under an active loss plan. *)
 
 module Graph = Dr_topo.Graph
 module Path = Dr_topo.Path
@@ -398,15 +398,15 @@ let test_crash_schedule () =
     (Invalid_argument "Faults.crash_schedule: mean_gap must be >= 1") (fun () ->
       ignore (Faults.crash_schedule ~seed:5 ~mean_gap:0.5 ~horizon:10 ()))
 
-(* --- reprotect drain order across rollback under loss ---------------------- *)
+(* --- reprotect drain order across speculation under loss ------------------ *)
 
-(* Satellite regression: the manager snapshot shares the reprotect queue
-   (immutable entries), so rollback -> drain must walk the entries in the
-   same FIFO order and land on the same state as the first drain — even
-   when the replacement-backup search is gated by an active message-loss
-   plan (pinned seed, re-created before each drain so the loss draws are
-   reproducible). *)
-let test_reprotect_drain_order_survives_rollback () =
+(* Regression: a manager speculation saves the reprotect queue (immutable
+   entries), so a drain inside a speculation and a real drain after it
+   must walk the entries in the same FIFO order and land on the same state
+   — even when the replacement-backup search is gated by an active
+   message-loss plan (pinned seed, re-created before each drain so the
+   loss draws are reproducible). *)
+let test_reprotect_drain_order_survives_speculation () =
   let graph = Gen.mesh ~rows:4 ~cols:4 in
   let m = make_manager ~capacity:4 ~scheme:Routing.Dlsr graph in
   let st = Manager.state m in
@@ -459,11 +459,12 @@ let test_reprotect_drain_order_survives_rollback () =
     in
     (drained, order, State_digest.manager_digest graph m)
   in
-  let snap = Manager.snapshot m in
-  let d1, o1, dig1 = drain_with_pinned_losses () in
-  Manager.rollback m snap;
-  Alcotest.(check int) "rollback restores the queue" 6
+  let before = State_digest.manager_digest graph m in
+  let d1, o1, dig1 = Manager.speculate m drain_with_pinned_losses in
+  Alcotest.(check int) "speculation restores the queue" 6
     (Manager.reprotect_pending m);
+  Alcotest.(check string) "speculation restores the state" before
+    (State_digest.manager_digest graph m);
   let d2, o2, dig2 = drain_with_pinned_losses () in
   (* The pinned loss plan must actually bite: some entries drain, some are
      held back by a dropped search. *)
@@ -501,7 +502,7 @@ let suite =
           test_crash_recovery_dlsr;
         prop_recover_idempotent;
         Alcotest.test_case "crash schedule" `Quick test_crash_schedule;
-        Alcotest.test_case "reprotect drain order survives rollback" `Quick
-          test_reprotect_drain_order_survives_rollback;
+        Alcotest.test_case "reprotect drain order survives speculation" `Quick
+          test_reprotect_drain_order_survives_speculation;
       ] );
   ]

@@ -41,13 +41,7 @@ let soak ~steps ~seed ~scheme graph =
   let rng = Rng.create seed in
   let n = Graph.node_count graph in
   let next_id = ref 0 in
-  (* Interleaved service-layer snapshots: capture mid-walk, keep walking,
-     roll back 25 steps later.  The restored state must be bit-identical
-     (full accessor digest, including the aplv_norm/conflict mirrors) and
-     pass the deep invariant check — this is the soak-side witness that
-     what-if speculation can never corrupt the truth. *)
-  let pending = ref None in
-  for step = 1 to steps do
+  let walk_step step =
     (match Dist.uniform_int rng ~lo:0 ~hi:9 with
     | 0 | 1 | 2 | 3 -> (
         (* admit *)
@@ -130,19 +124,29 @@ let soak ~steps ~seed ~scheme graph =
                       Net_state.reroute_primary state ~id ~primary:p
                   | _ -> ());
                   if not was_failed then Net_state.restore_edge state ~edge:e)));
-    check step state;
-    if step mod 50 = 0 then
-      pending :=
-        Some (Net_state.Snapshot.capture state, Test_service.digest graph state)
-    else if step mod 50 = 25 then
-      match !pending with
-      | None -> ()
-      | Some (snap, before) ->
-          Net_state.Snapshot.rollback state snap;
-          pending := None;
-          if Test_service.digest graph state <> before then
-            Alcotest.failf "step %d: state digest changed across rollback" step;
-          check step state
+    check step state
+  in
+  (* Interleaved speculations: after every 50th step, the next 25 steps
+     run inside {!Net_state.speculate}.  The undone state must be
+     bit-identical (full accessor digest, including the aplv_norm/conflict
+     mirrors) and pass the deep invariant check — this is the soak-side
+     witness that what-if speculation can never corrupt the truth. *)
+  let step = ref 0 in
+  while !step < steps do
+    incr step;
+    walk_step !step;
+    if !step mod 50 = 0 && !step + 25 <= steps then begin
+      let before = Test_service.digest graph state in
+      let last = !step + 25 in
+      Net_state.speculate state (fun () ->
+          while !step < last do
+            incr step;
+            walk_step !step
+          done);
+      if Test_service.digest graph state <> before then
+        Alcotest.failf "step %d: state digest changed across speculation" !step;
+      check !step state
+    end
   done;
   (* Tear everything down: the cache must return to all-zeros. *)
   List.iter (fun id -> Net_state.release state ~id) (active_ids state);
