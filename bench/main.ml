@@ -158,7 +158,7 @@ let test_flood_route =
 
 let test_aplv =
   let lset = [ 3; 17; 42; 55 ] in
-  let aplv = Drtp.Aplv.create () in
+  let aplv = Drtp.Aplv.create ~domains:(Dr_topo.Graph.edge_count graph3) in
   Test.make ~name:"aplv/register-unregister"
     (Staged.stage (fun () ->
          Drtp.Aplv.register aplv ~edge_lset:lset;

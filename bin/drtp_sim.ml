@@ -830,8 +830,8 @@ let serve_cmd =
       & opt int Serve.default.Serve.sv_check_every
       & info [ "check-every" ] ~docv:"N"
           ~doc:
-            "Audit state invariants and routing caches every $(docv) batches \
-             (a final audit always runs).")
+            "Audit state invariants, every APLV count included, every \
+             $(docv) batches (a final audit always runs).")
   in
   let smoke_t =
     Arg.(
@@ -1007,17 +1007,14 @@ let recover_cmd =
         exit 1
     | Ok rv ->
         let state = Drtp.Manager.state manager in
-        let audit name = function
-          | Ok () -> ()
-          | Error m ->
-              (* Flush pending stdout before the stderr diagnostic so the
-                 two streams never interleave mid-line. *)
-              Format.print_flush ();
-              Printf.eprintf "drtp_sim recover: %s failed: %s\n%!" name m;
-              exit 1
-        in
-        audit "check_invariants" (Drtp.Net_state.check_invariants state);
-        audit "check_routing_caches" (Drtp.Net_state.check_routing_caches state);
+        (match Drtp.Net_state.check_invariants state with
+        | Ok () -> ()
+        | Error m ->
+            (* Flush pending stdout before the stderr diagnostic so the
+               two streams never interleave mid-line. *)
+            Format.print_flush ();
+            Printf.eprintf "drtp_sim recover: check_invariants failed: %s\n%!" m;
+            exit 1);
         Format.printf "recover: checkpoint-seq=%d replayed=%d wal-seq=%d@."
           rv.Persist.rv_checkpoint_seq rv.Persist.rv_replayed
           rv.Persist.rv_wal_seq;

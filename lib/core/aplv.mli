@@ -23,20 +23,29 @@
       [max_j a_{i,j}] connections' worth (§5). *)
 
 type t
+(** A dense row: one count per failure edge, plus the cached
+    [‖APLV_i‖₁] and backup count.  {!Net_state} keeps one row per
+    directed link and reads every routing cost term from it. *)
 
-val create : unit -> t
-(** Empty vector (no backups registered on the link). *)
+val create : domains:int -> t
+(** Empty vector over failure edges [0 .. domains-1] (no backups
+    registered on the link).  Raises [Invalid_argument] if [domains] is
+    negative. *)
 
 val register : t -> edge_lset:int list -> unit
 (** A backup joined this link; [edge_lset] is the (duplicate-free) edge set
-    of its {e primary} route, carried by the backup-path register packet. *)
+    of its {e primary} route, carried by the backup-path register packet.
+    Raises [Invalid_argument], leaving the vector unchanged, on a
+    duplicate or out-of-range edge. *)
 
 val unregister : t -> edge_lset:int list -> unit
-(** The backup left (release packet).  Raises [Invalid_argument] if some
-    count would go negative. *)
+(** The backup left (release packet).  Raises [Invalid_argument], leaving
+    the vector unchanged, if some count would go negative, no backup is
+    registered, or [edge_lset] has a duplicate or out-of-range edge. *)
 
 val get : t -> int -> int
-(** [get t j] is [a_{i,j}] (0 when absent). *)
+(** [get t j] is [a_{i,j}].  Raises [Invalid_argument] when [j] is not a
+    failure edge of the row. *)
 
 val clear : t -> unit
 (** Unregister everything: back to {!create}'s empty vector, in place
@@ -60,35 +69,13 @@ val conflict_count_with : t -> edge_lset:int list -> int
 (** D-LSR's cost term: [Σ_{j in edge_lset} (a_{i,j} > 0 ? 1 : 0)] — the
     number of links of the new primary that already conflict here. *)
 
+val conflict_count_arr : t -> edges:int array -> n:int -> int
+(** {!conflict_count_with} over the first [n] entries of [edges]: the
+    allocation-free form the routing fast path uses. *)
+
 val overlap_weight_with : t -> edge_lset:int list -> int
 (** [Σ_{j in edge_lset} a_{i,j}] — how many existing conflicts a backup
     with this primary would meet on the link (used by tests and
     diagnostics). *)
 
 val pp : Format.formatter -> t -> unit
-
-(** {1 Per-SRLG aggregation}
-
-    The resilience extension treats a shared-risk link group as one
-    failure domain.  The mappings are passed as functions
-    (see {!Dr_resilience.Srlg}) so this module stays representation
-    agnostic.  With singleton groups ([groups_of_edge j = [j]],
-    [edges_of_group g = [g]]) each aggregate reduces exactly to its
-    per-edge original. *)
-
-val group_support : t -> groups_of_edge:(int -> int list) -> int list
-(** SRLG groups containing at least one conflicting failure point —
-    {!support} lifted to groups, sorted and deduplicated. *)
-
-val group_conflict_count_with :
-  t -> groups:int list -> edges_of_group:(int -> int list) -> int
-(** D-LSR's cost term lifted to failure domains: how many of the given
-    groups have some member edge with [a_{i,j} > 0].  With singleton
-    groups equals [conflict_count_with ~edge_lset:groups]. *)
-
-val group_max_weight :
-  t -> groups:int list -> edges_of_group:(int -> int list) -> int
-(** [max_g Σ_{j in g} a_{i,j}] over the given groups — the worst single
-    group failure's activation count on this link (the generalised §5
-    spare rule, in connection counts).  With singleton groups equals the
-    maximum [a_{i,j}] over [groups]. *)

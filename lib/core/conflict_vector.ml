@@ -48,19 +48,3 @@ let pp ppf t =
   for j = 0 to t.length - 1 do
     Format.pp_print_char ppf (if get t j then '1' else '0')
   done
-
-(* ---- per-SRLG aggregation ------------------------------------------------ *)
-
-let group_popcount t ~groups ~edges_of_group =
-  let count = ref 0 in
-  for g = 0 to groups - 1 do
-    if List.exists (fun j -> get t j) (edges_of_group g) then incr count
-  done;
-  !count
-
-let group_conflict_count_with t ~groups ~edges_of_group =
-  List.fold_left
-    (fun acc g ->
-      if List.exists (fun j -> get t j) (edges_of_group g) then acc + 1
-      else acc)
-    0 groups

@@ -38,18 +38,3 @@ val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Renders as a 0/1 string, e.g. [1010010]. *)
-
-(** {1 Per-SRLG aggregation}
-
-    Group-level views of the packed bits, for the resilience extension's
-    diagnostics (see {!Dr_resilience.Srlg}).  With singleton groups each
-    reduces to its per-edge original. *)
-
-val group_popcount : t -> groups:int -> edges_of_group:(int -> int list) -> int
-(** Number of SRLG groups (ids [0..groups-1]) with any member bit set —
-    {!popcount} over failure domains. *)
-
-val group_conflict_count_with :
-  t -> groups:int list -> edges_of_group:(int -> int list) -> int
-(** How many of the given groups have some member bit set — D-LSR's cost
-    term over failure domains, from the packed form. *)

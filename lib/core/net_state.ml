@@ -40,17 +40,9 @@ type undo =
 type t = {
   graph : Graph.t;
   resources : Resources.t;
-  aplv : Aplv.t array; (* per directed link *)
-  aplv_norm : int array;
-      (* per directed link: cached [‖APLV_i‖₁], kept in lock-step with
-         [aplv] by {!register_backup}/{!unregister_backup} — P-LSR's cost
-         term as a flat array read instead of a record chase *)
-  conflict_counts : int array array;
-      (* per directed link: dense mirror of the APLV counts, indexed by
-         failure edge ([conflict_counts.(l).(j) = a_{l,j}]).  D-LSR's
-         relaxation reads it as [a_{l,j} > 0] in O(1) per edge instead of
-         a hashtable probe.  Maintained with O(|LSET|) deltas per link
-         visit, i.e. O(|LSET|·|route|) per admit/release. *)
+  aplv : Aplv.t array;
+      (* per directed link: the dense row of a_{l,j} over failure edges,
+         the one store every routing cost term reads *)
   spare_weight : (int, int) Hashtbl.t array;
       (* per directed link: SRLG group -> total backup bandwidth that the
          group's failure would activate here.  Under the singleton model
@@ -81,9 +73,7 @@ let make ~srlg ~graph ~capacity ~spare_policy =
   {
     graph;
     resources = Resources.create ~link_count:links ~capacity;
-    aplv = Array.init links (fun _ -> Aplv.create ());
-    aplv_norm = Array.make links 0;
-    conflict_counts = Array.init links (fun _ -> Array.make edges 0);
+    aplv = Array.init links (fun _ -> Aplv.create ~domains:edges);
     spare_weight = Array.init links (fun _ -> Hashtbl.create 8);
     backup_total = Array.make links 0;
     conns = Hashtbl.create 256;
@@ -108,19 +98,11 @@ let resources t = t.resources
 let spare_policy t = t.spare_policy
 let aplv t l = t.aplv.(l)
 let aplv_updates t = t.aplv_updates
-let aplv_norm t l = t.aplv_norm.(l)
+let aplv_norm t l = Aplv.norm1 t.aplv.(l)
 
-let conflict_count t ~link ~edge_lset =
-  let counts = t.conflict_counts.(link) in
-  List.fold_left (fun acc j -> if counts.(j) > 0 then acc + 1 else acc) 0 edge_lset
+let conflict_count t ~link ~edge_lset = Aplv.conflict_count_with t.aplv.(link) ~edge_lset
 
-let conflict_count_arr t ~link ~edges ~n =
-  let counts = t.conflict_counts.(link) in
-  let acc = ref 0 in
-  for k = 0 to n - 1 do
-    if counts.(Array.unsafe_get edges k) > 0 then incr acc
-  done;
-  !acc
+let conflict_count_arr t ~link ~edges ~n = Aplv.conflict_count_arr t.aplv.(link) ~edges ~n
 
 let conflict_vector t l =
   Conflict_vector.of_aplv t.aplv.(l) ~domains:(Graph.edge_count t.graph)
@@ -226,24 +208,18 @@ let adjust_spare_after_unregister t link =
 
 (* The registration arithmetic of one backup, without the spare
    adjustment: on every link of its route, the APLV counts for the edge-LSET
-   of its primary (the backup-path register packet of §2.2), both routing
-   mirrors, the backup total and the SRLG spare weights.  The spare table
-   is keyed by the primary's {e failure domains} — the SRLG groups its
-   edges belong to (one weight unit per group per backup, however many of
-   the group's edges the primary crosses) — so {!spare_required} sizes the
-   pool for the worst single {e group} failure.  Under the singleton model
-   the group list is the edge LSET itself and the bookkeeping is
-   bit-identical to the per-edge original. *)
+   of its primary (the backup-path register packet of §2.2), the backup
+   total and the SRLG spare weights.  The spare table is keyed by the
+   primary's {e failure domains} — the SRLG groups its edges belong to (one
+   weight unit per group per backup, however many of the group's edges the
+   primary crosses) — so {!spare_required} sizes the pool for the worst
+   single {e group} failure.  Under the singleton model the group list is
+   the edge LSET itself and the bookkeeping is bit-identical to the
+   per-edge original. *)
 let register_arith t ~bw ~primary_edges ~groups ~backup_path =
   List.iter
     (fun l ->
       Aplv.register t.aplv.(l) ~edge_lset:primary_edges;
-      let counts = t.conflict_counts.(l) in
-      List.iter
-        (fun e ->
-          counts.(e) <- counts.(e) + 1;
-          t.aplv_norm.(l) <- t.aplv_norm.(l) + 1)
-        primary_edges;
       List.iter
         (fun g ->
           let w = Option.value ~default:0 (Hashtbl.find_opt t.spare_weight.(l) g) in
@@ -257,12 +233,6 @@ let unregister_arith t ~bw ~primary_edges ~groups ~backup_path =
   List.iter
     (fun l ->
       Aplv.unregister t.aplv.(l) ~edge_lset:primary_edges;
-      let counts = t.conflict_counts.(l) in
-      List.iter
-        (fun e ->
-          counts.(e) <- counts.(e) - 1;
-          t.aplv_norm.(l) <- t.aplv_norm.(l) - 1)
-        primary_edges;
       List.iter
         (fun g ->
           match Hashtbl.find_opt t.spare_weight.(l) g with
@@ -641,12 +611,12 @@ let speculate t f =
    reproduce.  Instead [Serial.dump] captures the minimal mutable truth —
    the raw resource pools, failure flags, odometer, and the connection
    table with routes as link-id lists — and [Serial.restore] rebuilds every
-   derived structure (APLVs, both PR 4 mirrors, SRLG spare weights, backup
-   totals, primary index) by replaying the registration {e arithmetic}
-   only: no spare-pool adjustment (pools are blitted verbatim afterwards),
-   no journal events.  APLV registration is commutative hashtable
-   arithmetic and every digest-visible read of it is sorted or aggregate,
-   so the rebuilt state is bit-identical under the accessor digest. *)
+   derived structure (APLV rows, SRLG spare weights, backup totals, primary
+   index) by replaying the registration {e arithmetic} only: no spare-pool
+   adjustment (pools are blitted verbatim afterwards), no journal events.
+   Registration is commutative counter arithmetic and every digest-visible
+   read of the spare-weight tables is sorted or aggregate, so the rebuilt
+   state is bit-identical under the accessor digest. *)
 
 module Serial = struct
   type conn_repr = {
@@ -704,8 +674,6 @@ module Serial = struct
       invalid_arg "Net_state.Serial.restore: inside a speculation";
     for l = 0 to links - 1 do
       Aplv.clear t.aplv.(l);
-      Array.fill t.conflict_counts.(l) 0 edges 0;
-      t.aplv_norm.(l) <- 0;
       t.backup_total.(l) <- 0;
       Hashtbl.reset t.spare_weight.(l)
     done;
@@ -743,29 +711,26 @@ module Serial = struct
     t.aplv_updates <- r.r_aplv_updates
 end
 
-(* The routing fast path never reads the APLV hashtables — only the dense
-   [aplv_norm]/[conflict_counts] mirrors.  This check recomputes both from
-   the authoritative {!Aplv.t} per link and reports the first slot where a
-   mirror has drifted.  O(links × edges); driven by the differential
-   harness and the soak test after every mutation. *)
+(* Each row's cached [‖APLV_l‖₁] against the row's sum.  The counts
+   themselves are checked against the connection table by
+   {!check_invariants}. *)
 let check_routing_caches t =
-  let links = Graph.link_count t.graph in
   let edges = Graph.edge_count t.graph in
-  let issue = ref None in
-  let fail fmt = Printf.ksprintf (fun s -> if !issue = None then issue := Some s) fmt in
-  for l = 0 to links - 1 do
-    let norm = Aplv.norm1 t.aplv.(l) in
-    if t.aplv_norm.(l) <> norm then
-      fail "link %d: cached aplv_norm %d, APLV says %d" l t.aplv_norm.(l) norm;
-    let counts = t.conflict_counts.(l) in
-    for j = 0 to edges - 1 do
-      let a = Aplv.get t.aplv.(l) j in
-      if counts.(j) <> a then
-        fail "link %d edge %d: cached conflict count %d, APLV says %d" l j
-          counts.(j) a
-    done
-  done;
-  match !issue with None -> Ok () | Some msg -> Error msg
+  let rec check l =
+    if l = Array.length t.aplv then Ok ()
+    else
+      let row = t.aplv.(l) in
+      let sum = ref 0 in
+      for j = 0 to edges - 1 do
+        sum := !sum + Aplv.get row j
+      done;
+      if !sum <> Aplv.norm1 row then
+        Error
+          (Printf.sprintf "link %d: cached aplv_norm %d, row sums to %d" l
+             (Aplv.norm1 row) !sum)
+      else check (l + 1)
+  in
+  check 0
 
 let check_invariants t =
   match Resources.check_invariants t.resources with
@@ -775,11 +740,12 @@ let check_invariants t =
   | Error _ as e -> e
   | Ok () -> (
       let links = Graph.link_count t.graph in
-      (* Rebuild expected per-link state from the connection table. *)
+      let edges = Graph.edge_count t.graph in
+      (* One pass over the connection table: the expected primary load per
+         link, the primary-index entries, and per link the (bandwidth,
+         primary LSET, groups) of every backup crossing it. *)
       let expect_prime = Array.make links 0 in
-      let expect_weight = Array.init links (fun _ -> Hashtbl.create 8) in
-      let expect_backups = Array.make links 0 in
-      let expect_total = Array.make links 0 in
+      let crossing = Array.make links [] in
       (* Primary-index entries the connection table accounts for, each
          checked to be bound to its connection's own record. *)
       let indexed = ref 0 and index_miss = ref None in
@@ -788,53 +754,68 @@ let check_invariants t =
           List.iter
             (fun l -> expect_prime.(l) <- expect_prime.(l) + conn.bw)
             (Path.links conn.primary);
-          let edges = edge_lset_of_path conn.primary in
+          let lset = edge_lset_of_path conn.primary in
           List.iter
             (fun e ->
               incr indexed;
               match Hashtbl.find_opt t.edge_primaries.(e) conn.id with
               | Some c when c == conn -> ()
               | _ -> if !index_miss = None then index_miss := Some (e, conn.id))
-            edges;
-          let groups = Srlg.groups_of_edges t.srlg edges in
+            lset;
+          let backup = (conn.bw, lset, Srlg.groups_of_edges t.srlg lset) in
           List.iter
             (fun b ->
-              List.iter
-                (fun l ->
-                  expect_backups.(l) <- expect_backups.(l) + 1;
-                  expect_total.(l) <- expect_total.(l) + conn.bw;
-                  List.iter
-                    (fun g ->
-                      let w =
-                        Option.value ~default:0 (Hashtbl.find_opt expect_weight.(l) g)
-                      in
-                      Hashtbl.replace expect_weight.(l) g (w + conn.bw))
-                    groups)
-                (Path.links b))
+              List.iter (fun l -> crossing.(l) <- backup :: crossing.(l)) (Path.links b))
             conn.backups)
         t.conns;
       let issue = ref None in
       let fail fmt = Printf.ksprintf (fun s -> if !issue = None then issue := Some s) fmt in
+      (* Per link: rebuild a_{l,j} and the group weights in two scratch
+         rows, compare every entry, then zero the rows for the next link. *)
+      let expect_a = Array.make edges 0 in
+      let expect_w = Array.make (Srlg.group_count t.srlg) 0 in
       for l = 0 to links - 1 do
         if Resources.prime_bw t.resources l <> expect_prime.(l) then
           fail "link %d: prime_bw %d, expected %d" l
             (Resources.prime_bw t.resources l) expect_prime.(l);
-        if Aplv.backup_count t.aplv.(l) <> expect_backups.(l) then
-          fail "link %d: %d backups registered, expected %d" l
-            (Aplv.backup_count t.aplv.(l)) expect_backups.(l);
-        if t.backup_total.(l) <> expect_total.(l) then
-          fail "link %d: backup_total %d, expected %d" l t.backup_total.(l)
-            expect_total.(l);
+        let backups = ref 0 and total = ref 0 and weighted = ref 0 in
+        List.iter
+          (fun (bw, lset, groups) ->
+            incr backups;
+            total := !total + bw;
+            List.iter (fun e -> expect_a.(e) <- expect_a.(e) + 1) lset;
+            List.iter
+              (fun g ->
+                if expect_w.(g) = 0 then incr weighted;
+                expect_w.(g) <- expect_w.(g) + bw)
+              groups)
+          crossing.(l);
+        let row = t.aplv.(l) in
+        for j = 0 to edges - 1 do
+          if Aplv.get row j <> expect_a.(j) then
+            fail "link %d edge %d: APLV count %d, expected %d" l j (Aplv.get row j)
+              expect_a.(j);
+          expect_a.(j) <- 0
+        done;
+        if Aplv.backup_count row <> !backups then
+          fail "link %d: %d backups registered, expected %d" l (Aplv.backup_count row)
+            !backups;
+        if t.backup_total.(l) <> !total then
+          fail "link %d: backup_total %d, expected %d" l t.backup_total.(l) !total;
+        (* Every stored weight is positive and expected, and there are as
+           many as expected: the table holds exactly the expected weights. *)
+        let weights = t.spare_weight.(l) in
         Hashtbl.iter
           (fun g w ->
-            let got = Option.value ~default:0 (Hashtbl.find_opt t.spare_weight.(l) g) in
-            if got <> w then fail "link %d group %d: spare weight %d, expected %d" l g got w)
-          expect_weight.(l);
-        Hashtbl.iter
-          (fun g w ->
-            if Option.value ~default:0 (Hashtbl.find_opt expect_weight.(l) g) <> w then
-              fail "link %d group %d: stale spare weight %d" l g w)
-          t.spare_weight.(l);
+            if w <= 0 || w <> expect_w.(g) then
+              fail "link %d group %d: spare weight %d, expected %d" l g w expect_w.(g))
+          weights;
+        if Hashtbl.length weights <> !weighted then
+          fail "link %d: %d groups hold spare weight, expected %d" l
+            (Hashtbl.length weights) !weighted;
+        List.iter
+          (fun (_, _, groups) -> List.iter (fun g -> expect_w.(g) <- 0) groups)
+          crossing.(l);
         let req = spare_required t ~link:l in
         let have = Resources.spare_bw t.resources l in
         if have > req then fail "link %d: spare %d exceeds requirement %d" l have req

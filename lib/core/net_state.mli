@@ -4,7 +4,9 @@
     One value of this type holds, for a given topology:
     - per-link bandwidth pools ({!Resources});
     - per-link APLVs, updated from the primary-route LSETs carried by
-      backup-path register/release packets (paper §2.2);
+      backup-path register/release packets (paper §2.2) — one dense
+      {!Aplv.t} row per directed link, the only store of [a_{i,j}]: P-LSR's
+      [‖APLV_i‖₁] and D-LSR's [CV_i] are read from it;
     - the connection table (primary route, backup routes, bandwidth) — a
       DR-connection has one primary and {e one or more} backup channels
       (paper §2), held in priority order;
@@ -72,18 +74,17 @@ val srlg : t -> Dr_resilience.Srlg.t
 (** The installed shared-risk-group model. *)
 
 val aplv : t -> int -> Aplv.t
-(** The APLV of a directed link (do not mutate). *)
+(** The APLV row of a directed link: the state's one store of its
+    [a_{l,j}].  Do not mutate it (tests do, to inject drift that
+    {!check_invariants} must catch). *)
 
 val aplv_norm : t -> int -> int
-(** Cached [‖APLV_i‖₁] of a directed link — always equal to
-    [Aplv.norm1 (aplv t l)], but a flat array read.  P-LSR's per-link cost
-    term; maintained incrementally by every backup register/release. *)
+(** [‖APLV_l‖₁] of a directed link, [Aplv.norm1 (aplv t l)]: the row's
+    cached sum, P-LSR's per-link cost term. *)
 
 val conflict_count : t -> link:int -> edge_lset:int list -> int
-(** Cached D-LSR cost term: [Σ_{j ∈ edge_lset} (a_{link,j} > 0 ? 1 : 0)]
-    — always equal to [Aplv.conflict_count_with (aplv t link) ~edge_lset],
-    but served from a dense per-(link, edge) count mirror maintained
-    incrementally (no hashtable probes in Dijkstra relaxation). *)
+(** D-LSR's cost term [Σ_{j ∈ edge_lset} (a_{link,j} > 0 ? 1 : 0)],
+    [Aplv.conflict_count_with (aplv t link) ~edge_lset]. *)
 
 val conflict_count_arr : t -> link:int -> edges:int array -> n:int -> int
 (** {!conflict_count} over the first [n] entries of [edges] — the
@@ -91,10 +92,10 @@ val conflict_count_arr : t -> link:int -> edges:int array -> n:int -> int
     LSET staged once into a workspace array). *)
 
 val check_routing_caches : t -> (unit, string) result
-(** Recompute [aplv_norm] and the conflict-count mirror from the
-    authoritative per-link {!Aplv.t} values and report the first drifted
-    slot.  O(links × edges); the differential harness and the soak test
-    call it after every mutation. *)
+(** Check every row's cached [‖APLV_l‖₁] against the sum of its entries
+    and report the first link where they differ.  O(links × edges).
+    {!check_invariants} runs it first, then checks every entry against
+    the connection table. *)
 
 val conflict_vector : t -> int -> Conflict_vector.t
 (** Packed CV snapshot of a link (D-LSR's advertisement payload). *)
@@ -242,7 +243,7 @@ val speculate : t -> (unit -> 'a) -> 'a
 (** [speculate t f] runs [f ()] and then undoes every mutation [f] made to
     [t], whether [f] returns or raises; an exception is re-raised after the
     undo.  Afterwards the state is bit-identical to the state before —
-    resource pools, APLVs and their routing mirrors, SRLG spare weights,
+    resource pools, APLV rows, backup totals, SRLG spare weights,
     the connection table (the same physical [conn] records, with their
     fields restored), the primary index, failure flags and the
     [aplv_updates] odometer.  Speculations nest.  {!Serial.restore} must
@@ -256,8 +257,8 @@ val speculate : t -> (unit -> 'a) -> 'a
     admissions would not reproduce.  [Serial.dump] therefore captures the
     minimal mutable truth (raw resource pools, failure flags, odometer,
     connection table with routes as link-id lists) and [Serial.restore]
-    rebuilds every derived structure — APLVs, the dense mirrors, SRLG
-    spare weights, backup totals, the primary index — by replaying the
+    rebuilds every derived structure — APLV rows, SRLG spare weights,
+    backup totals, the primary index — by replaying the
     registration arithmetic only, then blitting the pools verbatim.  The
     result is bit-identical under the accessor digest; used by
     [dr_persist]'s on-disk checkpoints. *)
@@ -294,9 +295,11 @@ end
 (** {1 Integrity} *)
 
 val check_invariants : t -> (unit, string) result
-(** Deep check: resource invariants, routing-cache coherence
-    ({!check_routing_caches}), APLV consistency against the connection
-    table, spare levels not above policy requirement plus deficit
-    bookkeeping coherent, and a primary index that matches the connection
-    table.  O(connections × path length + links × edges);
-    test and debug use. *)
+(** Deep check: resource invariants, each row's cached norm
+    ({!check_routing_caches}), then everything rebuilt from the
+    connection table and compared entry by entry — primary load per link,
+    every [a_{l,j}], each link's backup count, backup total and SRLG spare
+    weights — spare levels not above the policy requirement, and a
+    primary index that matches the connection table.  Reports the first
+    discrepancy, naming the link and edge or group.
+    O(connections × path length + links × edges); test and audit use. *)

@@ -170,8 +170,8 @@ let backup_link_cost scheme state ~primary ~bw =
    with the query's epoch), then every Dijkstra relaxation answers "is
    this link on the primary?" with one array read instead of a balanced
    tree descent.  The primary's edge LSET is also staged into a flat array
-   so D-LSR's conflict term is a tight loop over {!Net_state}'s dense
-   conflict-count mirror.  One workspace per domain (Domain.DLS) keeps
+   so D-LSR's conflict term is a tight loop over the link's dense APLV
+   row.  One workspace per domain (Domain.DLS) keeps
    [--jobs N] pools race-free; the cost closures built on it are consumed
    within a single search, before any other query reuses the epoch. *)
 module Ws = struct

@@ -29,9 +29,9 @@
 
     {b Fast path.}  Route computations are the simulator's dominant cost,
     so the searches run allocation-free: scheme cost terms are read from
-    {!Net_state}'s incrementally-maintained caches ({!Net_state.aplv_norm}
-    and the dense conflict-count mirror behind
-    {!Net_state.conflict_count}), per-query route membership is stamped
+    {!Net_state}'s dense per-link APLV rows ({!Net_state.aplv_norm} is the
+    row's cached [‖APLV_i‖₁], {!Net_state.conflict_count} tests its
+    entries for [a_{i,j} > 0]), per-query route membership is stamped
     into a per-domain epoch workspace instead of built as sets, and the
     underlying searches reuse {!Dr_topo.Shortest_path}'s per-domain
     workspaces.  The pre-change implementation is retained verbatim in

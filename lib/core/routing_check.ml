@@ -20,7 +20,6 @@ type params = {
   max_bw : int;
   backup_count : int;
   churn_every : int;
-  invariants_every : int;
 }
 
 let default_params =
@@ -34,7 +33,6 @@ let default_params =
     max_bw = 4;
     backup_count = 2;
     churn_every = 7;
-    invariants_every = 20;
   }
 
 type report = {
@@ -182,10 +180,12 @@ let check_verdicts ctx ~where scheme state ~primary ~earlier ~bw =
             expected
       end)
 
-let check_caches ctx ~where state =
-  match Net_state.check_routing_caches state with
+(* The full audit after every mutation: it rebuilds every a_{l,j} from the
+   connection table, so a drifted count is caught at the step that made it. *)
+let check_state ctx ~where state =
+  match Net_state.check_invariants state with
   | Ok () -> ()
-  | Error msg -> diverge ctx "%s: cache drift: %s" where msg
+  | Error msg -> diverge ctx "%s: invariant: %s" where msg
 
 let scheme_names = [ (Routing.Plsr, "plsr"); (Dlsr, "dlsr"); (Spf, "spf") ]
 
@@ -238,19 +238,19 @@ let run_scheme params ~graph ~graph_index ~scheme ~name ctx =
               : Net_state.conn);
           active := id :: !active;
           incr admitted;
-          check_caches ctx ~where state
+          check_state ctx ~where state
         end
     | _ ->
         incr rejected;
         diverge ctx "%s: primary fast=%s ref=%s" where
           (path_opt_str fast_primary) (path_opt_str ref_primary));
     (* Random release keeps the state from saturating and exercises the
-       cache decrements. *)
+       count decrements. *)
     (match !active with
     | id :: rest when Dist.uniform_int rng ~lo:0 ~hi:3 = 0 ->
         Net_state.release state ~id;
         active := rest;
-        check_caches ctx ~where state
+        check_state ctx ~where state
     | _ -> ());
     if params.churn_every > 0 && step mod params.churn_every = 0 then begin
       incr churn;
@@ -271,18 +271,14 @@ let run_scheme params ~graph ~graph_index ~scheme ~name ctx =
           | es ->
               let e = List.nth es (Dist.uniform_int rng ~lo:0 ~hi:(List.length es - 1)) in
               Net_state.restore_edge state ~edge:e));
-      check_caches ctx ~where state
-    end;
-    if params.invariants_every > 0 && step mod params.invariants_every = 0 then
-      match Net_state.check_invariants state with
-      | Ok () -> ()
-      | Error msg -> diverge ctx "%s: invariant: %s" where msg
+      check_state ctx ~where state
+    end
   done;
-  (* Drain the survivors so release-side cache deltas are fully exercised. *)
+  (* Drain the survivors so release-side count deltas are fully exercised. *)
   List.iter
     (fun id ->
       Net_state.release state ~id;
-      check_caches ctx ~where:(step_where params.admissions) state)
+      check_state ctx ~where:(step_where params.admissions) state)
     !active;
   (!admissions, !admitted, !rejected, !churn)
 

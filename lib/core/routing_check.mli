@@ -5,7 +5,8 @@
     verbatim pre-change code) side by side on the {e same} network state,
     and records every disagreement: a different primary or backup route, a
     per-link {!Routing.cost_parts} decomposition that differs in any bit,
-    or a drifted incremental cache ({!Net_state.check_routing_caches}).
+    or a state that fails {!Net_state.check_invariants}, which runs after
+    every admit, release and churn step.
 
     One {!run_graph} call is self-contained and deterministic in
     [(params, graph_index)], so graph indices can be fanned out across a
@@ -25,10 +26,6 @@ type params = {
   churn_every : int;
       (** inject a failure/repair event every this many admission attempts
           (0 disables churn) *)
-  invariants_every : int;
-      (** run {!Net_state.check_invariants} every this many attempts
-          (0 disables; {!Net_state.check_routing_caches} still runs after
-          every mutation) *)
 }
 
 val default_params : params

@@ -2,13 +2,16 @@
 
    This module is the routing code exactly as it stood before the
    incremental fast path landed: per-query allocation of every search
-   array, set-based membership tests, and scheme cost terms recomputed
-   from the authoritative per-link {!Aplv.t} on every Dijkstra relaxation
-   (no {!Net_state} caches).  It is kept as an executable specification:
-   the differential harness ({!Routing_check}, `drtp_sim check-routing`,
-   the qcheck property suite) asserts that {!Routing} picks identical
-   routes with bit-identical cost decompositions, and the benchmark
-   reports the fast path's speedup against it.
+   array, set-based membership tests, and scheme cost terms read through
+   {!Aplv}'s own accessors on every Dijkstra relaxation (a list walk over
+   the primary's LSET, not {!Net_state}'s array-staged fast accessors).
+   Both sides read the same per-link store; {!Net_state.check_invariants}
+   is what checks that store against the connection table.  It is kept as
+   an executable specification: the differential harness
+   ({!Routing_check}, `drtp_sim check-routing`, the qcheck property suite)
+   asserts that {!Routing} picks identical routes with bit-identical cost
+   decompositions, and the benchmark reports the fast path's speedup
+   against it.
 
    Two deliberate deltas from the historical code, neither observable in
    results: flight-recorder hooks are stripped (the oracle must not

@@ -1,9 +1,12 @@
 (* Canonical textual digest of a Net_state / Manager — every accessor the
    test-suite equivalence oracles compare, in one string.  Two states with
-   equal digests agree on pools, APLV tables, conflict counts, spare
-   accounting, failure flags, the full connection table (routes included)
-   and the stats odometers.  The crash-recovery gate is "digest of a
-   crashed-and-recovered run = digest of the uncrashed run", bit for bit.
+   equal digests agree on pools, every APLV count, spare accounting,
+   failure flags, the full connection table (routes included) and the
+   stats odometers.  The per-link conflict bits ("C" entries) are read
+   from the same APLV rows as the counts, so they add nothing the counts
+   do not say; they stay so that digests pinned earlier remain valid.
+   The crash-recovery gate is "digest of a crashed-and-recovered run =
+   digest of the uncrashed run", bit for bit.
 
    Lifted from test/test_service.ml (which now delegates here) so the
    recovery code, the tests and the CLI all agree on what "identical

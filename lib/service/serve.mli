@@ -8,8 +8,7 @@
     and after every batch optionally injects speculative work: a burst of
     {!Service.what_if_admit} queries every [sv_what_if_every] batches, a
     {!Service.what_if_fail_edge} probe every [sv_probe_every], and a full
-    {!Drtp.Net_state.check_invariants} + [check_routing_caches] audit every
-    [sv_check_every].
+    {!Drtp.Net_state.check_invariants} audit every [sv_check_every].
 
     {b Determinism.}  The report splits into a deterministic half (all the
     counts — printed by {!pp_deterministic} and diffed in CI) and a

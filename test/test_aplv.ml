@@ -1,7 +1,7 @@
 module Aplv = Drtp.Aplv
 
 let test_empty () =
-  let a = Aplv.create () in
+  let a = Aplv.create ~domains:16 in
   Alcotest.(check int) "norm1" 0 (Aplv.norm1 a);
   Alcotest.(check int) "max" 0 (Aplv.max_element a);
   Alcotest.(check int) "backups" 0 (Aplv.backup_count a);
@@ -9,7 +9,7 @@ let test_empty () =
   Alcotest.(check int) "get absent" 0 (Aplv.get a 7)
 
 let test_register () =
-  let a = Aplv.create () in
+  let a = Aplv.create ~domains:16 in
   Aplv.register a ~edge_lset:[ 1; 3; 5 ];
   Alcotest.(check int) "counts set" 1 (Aplv.get a 3);
   Alcotest.(check int) "norm1" 3 (Aplv.norm1 a);
@@ -18,7 +18,7 @@ let test_register () =
   Alcotest.(check (list int)) "support sorted" [ 1; 3; 5 ] (Aplv.support a)
 
 let test_overlapping_registrations () =
-  let a = Aplv.create () in
+  let a = Aplv.create ~domains:16 in
   Aplv.register a ~edge_lset:[ 1; 2 ];
   Aplv.register a ~edge_lset:[ 2; 3 ];
   Aplv.register a ~edge_lset:[ 2 ];
@@ -28,7 +28,7 @@ let test_overlapping_registrations () =
   Alcotest.(check int) "three backups" 3 (Aplv.backup_count a)
 
 let test_unregister () =
-  let a = Aplv.create () in
+  let a = Aplv.create ~domains:16 in
   Aplv.register a ~edge_lset:[ 1; 2 ];
   Aplv.register a ~edge_lset:[ 2; 3 ];
   Aplv.unregister a ~edge_lset:[ 1; 2 ];
@@ -40,19 +40,34 @@ let test_unregister () =
   Alcotest.(check int) "empty again" 0 (Aplv.norm1 a);
   Alcotest.(check (list int)) "no support" [] (Aplv.support a)
 
+(* A rejected update is validated before anything moves: unregistering
+   [1; 9] must not decrement edge 1 before it finds edge 9 empty. *)
 let test_unregister_underflow () =
-  let a = Aplv.create () in
-  Aplv.register a ~edge_lset:[ 1 ];
+  let a = Aplv.create ~domains:16 in
+  Aplv.register a ~edge_lset:[ 1; 2 ];
+  let raises f = try f (); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "unknown edge raises" true
-    (try Aplv.unregister a ~edge_lset:[ 9 ]; false with Invalid_argument _ -> true)
+    (raises (fun () -> Aplv.unregister a ~edge_lset:[ 9 ]));
+  Alcotest.(check bool) "underflow after a valid edge raises" true
+    (raises (fun () -> Aplv.unregister a ~edge_lset:[ 1; 9 ]));
+  Alcotest.(check bool) "duplicate raises" true
+    (raises (fun () -> Aplv.unregister a ~edge_lset:[ 2; 1; 2 ]));
+  Alcotest.(check bool) "out of range raises" true
+    (raises (fun () -> Aplv.register a ~edge_lset:[ 3; 16 ]));
+  Alcotest.(check (list int)) "get unchanged"
+    (List.init 16 (fun j -> if j = 1 || j = 2 then 1 else 0))
+    (List.init 16 (Aplv.get a));
+  Alcotest.(check int) "norm1 unchanged" 2 (Aplv.norm1 a);
+  Alcotest.(check int) "backup count unchanged" 1 (Aplv.backup_count a);
+  Alcotest.(check (list int)) "support unchanged" [ 1; 2 ] (Aplv.support a)
 
 let test_duplicate_lset_rejected () =
-  let a = Aplv.create () in
+  let a = Aplv.create ~domains:16 in
   Alcotest.(check bool) "duplicate edge in one LSET" true
     (try Aplv.register a ~edge_lset:[ 1; 1 ]; false with Invalid_argument _ -> true)
 
 let test_conflict_count () =
-  let a = Aplv.create () in
+  let a = Aplv.create ~domains:16 in
   Aplv.register a ~edge_lset:[ 1; 2; 3 ];
   Aplv.register a ~edge_lset:[ 3; 4 ];
   (* New primary crossing edges {2, 3, 9}: conflicts at 2 and 3. *)
@@ -66,7 +81,7 @@ let test_paper_example_values () =
   (* Mirrors the paper's APLV_7 example (§3): PSET_7 = {P1, P3} with
      LSET(P1) = {8, 12, 13} and LSET(P3) = {11, 13}; then
      a_{7,13} = 2 and ||APLV_7||_1 = 5. *)
-  let a = Aplv.create () in
+  let a = Aplv.create ~domains:16 in
   Aplv.register a ~edge_lset:[ 8; 12; 13 ];
   Aplv.register a ~edge_lset:[ 11; 13 ];
   Alcotest.(check int) "a_13 = 2" 2 (Aplv.get a 13);

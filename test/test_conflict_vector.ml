@@ -2,7 +2,7 @@ module Aplv = Drtp.Aplv
 module CV = Drtp.Conflict_vector
 
 let test_from_aplv () =
-  let a = Aplv.create () in
+  let a = Aplv.create ~domains:8 in
   Aplv.register a ~edge_lset:[ 0; 2; 7 ];
   let cv = CV.of_aplv a ~domains:8 in
   Alcotest.(check int) "length" 8 (CV.length cv);
@@ -14,7 +14,7 @@ let test_from_aplv () =
 
 let test_bits_not_counts () =
   (* The CV keeps positions, not multiplicities (paper §3.2). *)
-  let a = Aplv.create () in
+  let a = Aplv.create ~domains:5 in
   Aplv.register a ~edge_lset:[ 4 ];
   Aplv.register a ~edge_lset:[ 4 ];
   let cv = CV.of_aplv a ~domains:5 in
@@ -23,7 +23,7 @@ let test_bits_not_counts () =
 let test_paper_cv6_example () =
   (* Paper §3.2: PSET_6 = {P1, P2}, CV_6 = 1010000100011 (bits 0,2,7,11,12
      using 0-based indexing of the 13 links). *)
-  let a = Aplv.create () in
+  let a = Aplv.create ~domains:13 in
   Aplv.register a ~edge_lset:[ 0; 7; 11 ];
   Aplv.register a ~edge_lset:[ 2; 12 ];
   let cv = CV.of_aplv a ~domains:13 in
@@ -33,7 +33,7 @@ let test_paper_cv6_example () =
   done
 
 let test_conflict_count_matches_aplv () =
-  let a = Aplv.create () in
+  let a = Aplv.create ~domains:6 in
   Aplv.register a ~edge_lset:[ 1; 3 ];
   Aplv.register a ~edge_lset:[ 3; 5 ];
   let cv = CV.of_aplv a ~domains:6 in
@@ -43,7 +43,7 @@ let test_conflict_count_matches_aplv () =
     (CV.conflict_count_with cv ~edge_lset:lset)
 
 let test_byte_size () =
-  let a = Aplv.create () in
+  let a = Aplv.create ~domains:8 in
   Alcotest.(check int) "8 bits -> 1 byte" 1 (CV.byte_size (CV.of_aplv a ~domains:8));
   Alcotest.(check int) "9 bits -> 2 bytes" 2 (CV.byte_size (CV.of_aplv a ~domains:9));
   Alcotest.(check int) "0 bits -> 0 bytes" 0 (CV.byte_size (CV.of_aplv a ~domains:0))
@@ -63,7 +63,7 @@ let test_out_of_range () =
   let cv = CV.of_bits [| true |] in
   Alcotest.(check bool) "get out of range raises" true
     (try ignore (CV.get cv 1); false with Invalid_argument _ -> true);
-  let a = Aplv.create () in
+  let a = Aplv.create ~domains:11 in
   Aplv.register a ~edge_lset:[ 10 ];
   Alcotest.(check bool) "domain too small raises" true
     (try ignore (CV.of_aplv a ~domains:5); false with Invalid_argument _ -> true)

@@ -1,8 +1,8 @@
 (* Differential tests: the routing fast path ({!Drtp.Routing}) against the
    reference oracle ({!Drtp.Routing_reference}), driven through the
    {!Drtp.Routing_check} harness.  A single divergent route, a single bit
-   of a cost decomposition, or a single drifted incremental cache fails
-   these tests. *)
+   of a cost decomposition, or a single state-invariant violation after a
+   mutation fails these tests. *)
 
 module RC = Drtp.Routing_check
 
@@ -38,7 +38,6 @@ let test_churn_heavy () =
       nodes = 16;
       admissions = 40;
       churn_every = 2;
-      invariants_every = 5;
       seed = 1234;
     }
   in
@@ -46,7 +45,7 @@ let test_churn_heavy () =
   if r.RC.divergence_count > 0 then fail_report r;
   Alcotest.(check bool) "churned" true (r.RC.churn_events >= 30)
 
-(* No-churn control: the caches must also agree on a healthy network. *)
+(* No-churn control: both sides must also agree on a healthy network. *)
 let test_no_churn () =
   let params =
     {
@@ -73,7 +72,6 @@ let prop_random_seeds =
           nodes;
           admissions = 15;
           churn_every = 3;
-          invariants_every = 7;
           seed;
           max_bw = 3;
           capacity = 30;

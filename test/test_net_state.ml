@@ -261,6 +261,26 @@ let test_drop () =
     (Resources.total_prime (Net_state.resources st));
   check_inv st
 
+(* check_invariants rebuilds every a_{l,j} from the connection table, so a
+   count injected behind Net_state's back is reported by link and edge. *)
+let test_invariants_catch_aplv_drift () =
+  let g, st = state () in
+  ignore
+    (Net_state.admit st ~id:1 ~bw:1 ~primary:(path g [ 0; 1; 2 ])
+       ~backups:[ path g [ 0; 3; 4; 5; 2 ] ]);
+  check_inv st;
+  let l = link g 3 4 and e = Graph.edge_of_link (link g 7 8) in
+  let row = Net_state.aplv st l in
+  Aplv.register row ~edge_lset:[ e ];
+  (match Net_state.check_invariants st with
+  | Ok () -> Alcotest.fail "injected count went unnoticed"
+  | Error msg ->
+      let prefix = Printf.sprintf "link %d edge %d:" l e in
+      if not (String.starts_with ~prefix msg) then
+        Alcotest.failf "%S does not name link %d and edge %d" msg l e);
+  Aplv.unregister row ~edge_lset:[ e ];
+  check_inv st
+
 let suite =
   [
     ( "drtp.net_state",
@@ -282,5 +302,7 @@ let suite =
         Alcotest.test_case "replace backup (DRTP step 4)" `Quick test_replace_backup;
         Alcotest.test_case "fail/restore edge" `Quick test_fail_restore_edge;
         Alcotest.test_case "drop" `Quick test_drop;
+        Alcotest.test_case "invariants catch APLV drift" `Quick
+          test_invariants_catch_aplv_drift;
       ] );
   ]

@@ -254,8 +254,8 @@ let crash_recovery_bit_identity scheme =
   Alcotest.(check bool) "caches consistent after recovery" true
     (Net_state.check_routing_caches (Manager.state !m) = Ok ());
   (* The fast routing path must agree with the reference oracle on the
-     recovered state — a mirror rebuilt wrong by replay would route
-     differently here even if the digest matched. *)
+     recovered state, whose APLV rows the invariant check above compared
+     with the connection table. *)
   let state = Manager.state !m in
   let n = Graph.node_count graph in
   let orng = Rng.create 99 in

@@ -131,7 +131,7 @@ let prop_aplv_register_unregister_cancels =
     (fun (l1, l2) ->
       let l1 = dedup l1 and l2 = dedup l2 in
       QCheck.assume (l1 <> [] && l2 <> []);
-      let a = Aplv.create () in
+      let a = Aplv.create ~domains:11 in
       Aplv.register a ~edge_lset:l1;
       let norm_before = Aplv.norm1 a and support_before = Aplv.support a in
       Aplv.register a ~edge_lset:l2;
@@ -143,7 +143,7 @@ let prop_aplv_norm_is_sum =
     QCheck.(list_of_size (Gen.int_range 0 8) lset_gen)
     (fun lsets ->
       let lsets = List.filter (fun l -> l <> []) (List.map dedup lsets) in
-      let a = Aplv.create () in
+      let a = Aplv.create ~domains:11 in
       List.iter (fun l -> Aplv.register a ~edge_lset:l) lsets;
       let sum = List.fold_left (fun acc j -> acc + Aplv.get a j) 0 (Aplv.support a) in
       Aplv.norm1 a = sum

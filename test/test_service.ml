@@ -218,7 +218,8 @@ let prop_speculate_bit_identity =
       | Ok () -> ()
       | Error msg -> QCheck.Test.fail_reportf "caches after undo: %s" msg);
       (* The fast routing path must still agree with the reference oracle on
-         the restored state (a stale mirror would diverge here).  The oracle
+         the restored state (both read the APLV rows that the invariant
+         check above compared with the connection table).  The oracle
          predates SRLG-aware backup costs, so it is only consulted under the
          singleton model. *)
       let n = Graph.node_count graph in

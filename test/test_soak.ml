@@ -1,9 +1,9 @@
 (* Randomized invariant soak: a long random walk over the whole Net_state
    mutation surface — admit, release, fail/restore edge and node, backup
    promotion, backup replacement, primary reroute — asserting the deep
-   invariant check (which includes the incremental routing-cache
-   coherence check) after every single step.  This is the test that
-   catches a cache delta wired into only {e most} of the mutation paths. *)
+   invariant check (which rebuilds every APLV count from the connection
+   table) after every single step.  This is the test that catches a count
+   delta wired into only {e most} of the mutation paths. *)
 
 module Graph = Dr_topo.Graph
 module Path = Dr_topo.Path
@@ -128,8 +128,8 @@ let soak ~steps ~seed ~scheme graph =
   in
   (* Interleaved speculations: after every 50th step, the next 25 steps
      run inside {!Net_state.speculate}.  The undone state must be
-     bit-identical (full accessor digest, including the aplv_norm/conflict
-     mirrors) and pass the deep invariant check — this is the soak-side
+     bit-identical (full accessor digest, including every APLV count and
+     cached norm) and pass the deep invariant check — this is the soak-side
      witness that what-if speculation can never corrupt the truth. *)
   let step = ref 0 in
   while !step < steps do
