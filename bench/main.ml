@@ -1,6 +1,6 @@
-(* Benchmark harness for the DSN'01 reproduction.
+(* Micro-benchmark harness for the DSN'01 reproduction.
 
-   Two parts:
+   Four parts, in output order:
 
    1. Bechamel micro-benchmarks — one per reproduced table/figure (plus the
       hot kernels behind them), measuring the computational cost of the
@@ -9,11 +9,19 @@
       step, each routing scheme's route computation, the bounded flood, the
       APLV/CV bookkeeping, and the recovery path.
 
-   2. Full regeneration of every table and figure (Table 1, Figures 4a/4b,
+   2. Gate: disabled journal instrumentation costs at most 2% on the
+      event-engine hot loop ([PASS:]/[FAIL:] line).
+
+   3. Gate: the routing fast path decides admissions at least 1.5x faster
+      than the reference oracle, for every scheme ([PASS:]/[FAIL:] line).
+
+   4. Full regeneration of every table and figure (Table 1, Figures 4a/4b,
       5a/5b, the claims check, ablations A1-A3, the routing-overhead table
       and the recovery extension) with the same rows the paper reports.
 
-   Set DRTP_BENCH_QUICK=1 to shrink part 2 (smoke-test mode). *)
+   Set DRTP_BENCH_QUICK=1 for smoke-test mode: shorter timing quotas and
+   the CLI's [--quick] configuration for part 4.  End-to-end throughput,
+   pool utilisation and GC figures are measured by [bench/e2e]. *)
 
 open Bechamel
 open Toolkit
@@ -676,75 +684,6 @@ let fastpath_check () =
     (if !worst >= budget then "PASS" else "FAIL")
     !worst budget
 
-(* --- parallel-sweep scaling ------------------------------------------------ *)
-
-(* Wall-clock of the same sweep grid at 1, 2 and 4 worker domains.
-   Informational, not a gate: the speedup depends on the machine's core
-   count (a single-core runner legitimately reports ~1.0x), so CI archives
-   this table instead of asserting on it.  Determinism across job counts
-   is asserted separately, by the test suite and the CI diff step. *)
-let scaling_check () =
-  let cfg =
-    { cfg with Config.warmup = 2400.0; horizon = 4800.0; sample_every = 300.0 }
-  in
-  let lambdas = if quick then [ 0.3 ] else [ 0.3; 0.5 ] in
-  let time_at jobs =
-    Dr_parallel.Pool.with_pool ~jobs (fun pool ->
-        let t0 = Unix.gettimeofday () in
-        let sweep =
-          Dr_exp.Sweep.run ~pool cfg ~avg_degree:3.0 ~traffics:[ Config.UT ]
-            ~lambdas ()
-        in
-        let dt = Unix.gettimeofday () -. t0 in
-        (dt, List.length sweep.Dr_exp.Sweep.cells))
-  in
-  Printf.printf
-    "# Parallel sweep scaling (E=3 UT, %d load points; recommended domains: %d)\n"
-    (List.length lambdas)
-    (Dr_parallel.Pool.default_jobs ());
-  let t1, cells = time_at 1 in
-  Printf.printf "jobs=1   %6.2f s   (%d cells, reference)\n" t1 cells;
-  List.iter
-    (fun jobs ->
-      let t, _ = time_at jobs in
-      Printf.printf "jobs=%d   %6.2f s   (speedup %.2fx)\n" jobs t
-        (if t > 0.0 then t1 /. t else 0.0))
-    [ 2; 4 ];
-  print_newline ()
-
-(* --- serve-loop sustained throughput --------------------------------------- *)
-
-(* Sustained admissions/sec through the batched service path, with what-if
-   queries and failure probes interleaved the way [drtp_sim serve] runs
-   them.  Informational, never a gate: absolute throughput is machine-
-   dependent, so CI greps the line into the archived bench log instead of
-   asserting on it.  Correctness of the same path (batch == sequential,
-   what-if transparency) is gated by the test suite. *)
-let serve_throughput () =
-  let module Serve = Dr_service.Serve in
-  let cfg =
-    { cfg with Config.warmup = 2400.0; horizon = (if quick then 2400.0 else 4800.0) }
-  in
-  let params =
-    { Dr_exp.Serve_exp.default with Dr_exp.Serve_exp.lambda = 0.4 }
-  in
-  let r = Dr_exp.Serve_exp.run cfg params in
-  Printf.printf
-    "# Serve-loop throughput (non-gating): admissions/sec=%.0f over %d \
-     requests (accepted %d, %d what-ifs, %d probes)\n"
-    r.Serve.rp_requests_per_sec r.Serve.rp_requests r.Serve.rp_accepted
-    r.Serve.rp_what_ifs r.Serve.rp_fail_probes;
-  Printf.printf
-    "#   latency p50=%.1fus p95=%.1fus p99=%.1fus   alloc %.2f KB/req, %d \
-     major collections\n\n"
-    r.Serve.rp_lat_p50_us r.Serve.rp_lat_p95_us r.Serve.rp_lat_p99_us
-    r.Serve.rp_alloc_kb_per_req r.Serve.rp_major_collections;
-  if r.Serve.rp_invariant_failures > 0 then begin
-    Printf.printf "FAIL: serve loop reported %d invariant violations\n"
-      r.Serve.rp_invariant_failures;
-    exit 1
-  end
-
 (* --- full table/figure regeneration --------------------------------------- *)
 
 let progress line =
@@ -752,16 +691,11 @@ let progress line =
   prerr_newline ()
 
 let regenerate () =
-  let cfg =
-    if quick then { cfg with Config.warmup = 2400.0; horizon = 4800.0 } else cfg
-  in
-  let lambdas degree =
-    let all = Config.lambdas_for_degree degree in
-    if quick then (match all with a :: _ :: c :: _ -> [ a; c ] | o -> o) else all
-  in
+  let cfg = if quick then Config.quick cfg else cfg in
   Format.printf "%a@.@." Config.pp_table1 cfg;
   let sweep degree =
-    Dr_exp.Sweep.run ~progress cfg ~avg_degree:degree ~lambdas:(lambdas degree) ()
+    Dr_exp.Sweep.run ~progress cfg ~avg_degree:degree
+      ~lambdas:(Config.lambdas ~quick degree) ()
   in
   let e3 = sweep 3.0 in
   let e4 = sweep 4.0 in
@@ -800,25 +734,10 @@ let regenerate () =
     (Dr_exp.Availability_exp.run cfg ~avg_degree:3.0 ~traffic:Config.UT
        ~lambda:0.5 ())
 
-(* GC/memory high-water report: informational, never a gate — absolute
-   allocation totals shift with compiler versions and flambda settings,
-   so CI archives this line instead of asserting on it. *)
-let gc_report () =
-  let s = Gc.quick_stat () in
-  Printf.printf
-    "# GC (non-gating): minor_words=%.3e major_words=%.3e \
-     promoted_words=%.3e top_heap=%d words (%.1f MiB), %d major collections\n\n"
-    s.Gc.minor_words s.Gc.major_words s.Gc.promoted_words s.Gc.top_heap_words
-    (float_of_int s.Gc.top_heap_words *. 8.0 /. (1024.0 *. 1024.0))
-    s.Gc.major_collections
-
 let () =
   run_benchmarks ();
   overhead_check ();
-  gc_report ();
   fastpath_check ();
-  serve_throughput ();
-  scaling_check ();
   print_endline "# Reproduction of every table and figure";
   print_newline ();
   regenerate ()

@@ -2,13 +2,55 @@
 
    One subcommand per reproduced artifact: Table 1, Figures 4 and 5, the
    §6.2 claims check, the ablations, the routing-overhead table and the
-   recovery extension, plus scenario-file and topology tooling. *)
+   recovery extension, plus scenario-file and topology tooling.  Every
+   subcommand is one [cmd] row: a name, a doc string and a term over the
+   shared options below. *)
 
 open Cmdliner
+module Pool = Dr_parallel.Pool
 
 let stderr_progress line =
   prerr_string line;
   prerr_newline ()
+
+(* A bad command-line value: print "drtp_sim: MSG" and exit 2. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_string ("drtp_sim: " ^ msg ^ "\n");
+      exit 2)
+    fmt
+
+let at_least_one name n =
+  if n < 1 then usage_error "%s must be >= 1 (got %d)" name n;
+  n
+
+(* Every file a command writes is opened here, as its option is evaluated:
+   a path that cannot be opened fails before the work, not after it. *)
+let open_output what file =
+  try open_out file
+  with Sys_error msg -> usage_error "cannot open %s file (%s)" what msg
+
+(* An optional [--NAME FILE] output, opened as soon as it is evaluated;
+   [what] names the file in the error message. *)
+let output_t ?what name ~doc =
+  let what = Option.value what ~default:name in
+  let file_t =
+    Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+  in
+  Term.(const (Option.map (fun file -> (file, open_output what file))) $ file_t)
+
+let write_output oc contents =
+  output_string oc contents;
+  close_out oc
+
+let flag_t name ~doc = Arg.(value & flag & info [ name ] ~doc)
+
+let int_t ?(docv = "N") name default ~doc =
+  Arg.(value & opt int default & info [ name ] ~docv ~doc)
+
+let seconds_t name default ~doc =
+  Arg.(value & opt float default & info [ name ] ~docv:"S" ~doc)
 
 (* ---- observability ------------------------------------------------------ *)
 
@@ -20,7 +62,7 @@ let metrics_t =
      print its exact per-kind event totals (stdout, identical for any \
      $(b,--jobs) count) and one GC line (stderr)."
   in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
+  flag_t "metrics" ~doc
 
 let journal_t =
   let doc =
@@ -39,22 +81,17 @@ let print_kind_counts counts =
     counts;
   Format.printf "@]@."
 
-(* Evaluating this term configures the journal as a side effect, so every
-   subcommand picks the flags up by prepending [$ obs_t].  The totals table
-   and the journal file are written from [at_exit]: they then also cover
-   commands that leave through [exit] (claims). *)
+(* Evaluating this term configures the journal as a side effect; [cmd]
+   evaluates it first for every subcommand.  The totals table and the
+   journal file are written from [at_exit]: they then also cover commands
+   that leave through [exit] (claims). *)
 let obs_t =
   let setup metrics journal =
     if metrics || journal <> None then Journal.set_enabled true;
     (match journal with
     | None -> ()
     | Some file ->
-        let oc =
-          try open_out file
-          with Sys_error msg ->
-            Printf.eprintf "drtp_sim: cannot open journal file (%s)\n" msg;
-            exit 2
-        in
+        let oc = open_output "journal" file in
         at_exit (fun () ->
             Journal.write_jsonl (Journal.current ()) oc;
             close_out_noerr oc));
@@ -69,6 +106,9 @@ let obs_t =
             s.Gc.top_heap_words s.Gc.major_collections)
   in
   Term.(const setup $ metrics_t $ journal_t)
+
+let cmd ?man name ~doc term =
+  Cmd.v (Cmd.info name ?man ~doc) Term.(const (fun () () -> ()) $ obs_t $ term)
 
 (* ---- shared options ---------------------------------------------------- *)
 
@@ -89,11 +129,23 @@ let traffic_t =
     & opt (conv (parse, print)) Dr_exp.Config.UT
     & info [ "traffic" ] ~docv:"PATTERN" ~doc)
 
+(* The link-state schemes (d-lsr, p-lsr, spf); [replay]'s converter also
+   takes bf and none. *)
+let scheme_t ~doc =
+  let parse s =
+    Result.map_error (fun e -> `Msg e) (Drtp.Routing.scheme_of_string s)
+  in
+  let print ppf s = Format.pp_print_string ppf (Drtp.Routing.scheme_name s) in
+  Arg.(
+    value
+    & opt (conv (parse, print)) Drtp.Routing.Dlsr
+    & info [ "scheme" ] ~docv:"SCHEME" ~doc)
+
 let quick_t =
   let doc =
     "Quick mode: shorter horizon and fewer load points (for smoke tests)."
   in
-  Arg.(value & flag & info [ "quick" ] ~doc)
+  flag_t "quick" ~doc
 
 let jobs_t =
   let doc =
@@ -101,85 +153,71 @@ let jobs_t =
      recommended domain count).  Output is identical for any $(docv); \
      single-run commands accept the flag but run on one domain."
   in
-  Arg.(
-    value
-    & opt int (Dr_parallel.Pool.default_jobs ())
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let with_pool jobs f =
-  if jobs < 1 then begin
-    Printf.eprintf "drtp_sim: --jobs must be >= 1 (got %d)\n" jobs;
-    exit 2
-  end;
-  Dr_parallel.Pool.with_pool ~jobs f
+  Term.(
+    const (at_least_one "--jobs")
+    $ Arg.(
+        value
+        & opt int (Pool.default_jobs ())
+        & info [ "jobs"; "j" ] ~docv:"N" ~doc))
 
 let seed_t =
   let doc = "Base seed for topology and workload generation." in
-  Arg.(value & opt int Dr_exp.Config.default.Dr_exp.Config.topology_seed
-       & info [ "seed" ] ~docv:"SEED" ~doc)
+  int_t "seed" Dr_exp.Config.default.topology_seed ~docv:"SEED" ~doc
 
 let config_of ~quick ~seed =
-  let cfg = Dr_exp.Config.default in
-  let cfg = { cfg with Dr_exp.Config.topology_seed = seed; workload_seed = seed * 101 } in
-  if quick then
-    { cfg with Dr_exp.Config.warmup = 2400.0; horizon = 4800.0; sample_every = 300.0 }
-  else cfg
+  let cfg =
+    { Dr_exp.Config.default with
+      topology_seed = seed; workload_seed = seed * 101 }
+  in
+  if quick then Dr_exp.Config.quick cfg else cfg
 
-let lambdas_for ~quick degree =
-  let all = Dr_exp.Config.lambdas_for_degree degree in
-  if quick then
-    match all with a :: _ :: c :: _ -> [ a; c ] | other -> other
-  else all
+(* What [--jobs], [--quick] and [--seed] give a study: the Table-1
+   configuration to run and the pool size to run it on. *)
+type common = { cfg : Dr_exp.Config.t; jobs : int; quick : bool; seed : int }
+
+let common_t =
+  let make jobs quick seed =
+    { cfg = config_of ~quick ~seed; jobs; quick; seed }
+  in
+  Term.(const make $ jobs_t $ quick_t $ seed_t)
 
 (* ---- subcommands ------------------------------------------------------- *)
 
 let table1_cmd =
-  let run () _jobs quick seed =
-    Format.printf "%a@." Dr_exp.Config.pp_table1 (config_of ~quick ~seed)
-  in
-  Cmd.v
-    (Cmd.info "table1" ~doc:"Print the simulation parameters (paper Table 1).")
-    Term.(const run $ obs_t $ jobs_t $ quick_t $ seed_t)
+  let run c = Format.printf "%a@." Dr_exp.Config.pp_table1 c.cfg in
+  cmd "table1" ~doc:"Print the simulation parameters (paper Table 1)."
+    Term.(const run $ common_t)
 
-let csv_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "csv" ] ~docv:"FILE" ~doc:"Also dump the sweep as CSV to this file.")
+let csv_t = output_t "csv" ~doc:"Also dump the sweep as CSV to this file."
 
-let sweep_and_print ~print jobs degree quick seed csv =
-  let cfg = config_of ~quick ~seed in
-  let sweep =
-    with_pool jobs (fun pool ->
-        Dr_exp.Sweep.run ~pool ~progress:stderr_progress cfg ~avg_degree:degree
-          ~lambdas:(lambdas_for ~quick degree) ())
+(* [fig4], [fig5] and [details]: one sweep at [degree], printed by [print]. *)
+let sweep_cmd name ~doc print =
+  let run print c degree csv =
+    let sweep =
+      Pool.with_pool ~jobs:c.jobs (fun pool ->
+          Dr_exp.Sweep.run ~pool ~progress:stderr_progress c.cfg
+            ~avg_degree:degree
+            ~lambdas:(Dr_exp.Config.lambdas ~quick:c.quick degree) ())
+    in
+    print sweep;
+    Option.iter
+      (fun (file, oc) ->
+        write_output oc (Dr_exp.Report.to_csv sweep);
+        Format.eprintf "wrote %s@." file)
+      csv
   in
-  Format.printf "%a@." print sweep;
-  match csv with
-  | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Dr_exp.Report.to_csv sweep));
-      Format.eprintf "wrote %s@." file
+  cmd name ~doc Term.(const run $ print $ common_t $ degree_t $ csv_t)
+
+let figure pp = Term.const (Format.printf "%a@." pp)
 
 let fig4_cmd =
-  let run () jobs degree quick seed csv =
-    sweep_and_print ~print:Dr_exp.Report.print_figure4 jobs degree quick seed csv
-  in
-  Cmd.v
-    (Cmd.info "fig4"
-       ~doc:"Reproduce Figure 4: fault-tolerance P_act-bk vs lambda.")
-    Term.(const run $ obs_t $ jobs_t $ degree_t $ quick_t $ seed_t $ csv_t)
+  sweep_cmd "fig4"
+    ~doc:"Reproduce Figure 4: fault-tolerance P_act-bk vs lambda."
+    (figure Dr_exp.Report.print_figure4)
 
 let fig5_cmd =
-  let run () jobs degree quick seed csv =
-    sweep_and_print ~print:Dr_exp.Report.print_figure5 jobs degree quick seed csv
-  in
-  Cmd.v
-    (Cmd.info "fig5" ~doc:"Reproduce Figure 5: capacity overhead vs lambda.")
-    Term.(const run $ obs_t $ jobs_t $ degree_t $ quick_t $ seed_t $ csv_t)
+  sweep_cmd "fig5" ~doc:"Reproduce Figure 5: capacity overhead vs lambda."
+    (figure Dr_exp.Report.print_figure5)
 
 let details_cmd =
   let json_t =
@@ -188,29 +226,14 @@ let details_cmd =
        fields) instead of the aligned table — the journal/inspect \
        counterpart of $(b,claims --json)."
     in
-    Arg.(value & flag & info [ "json" ] ~doc)
+    flag_t "json" ~doc
   in
-  let run () jobs json degree quick seed csv =
-    let cfg = config_of ~quick ~seed in
-    let sweep =
-      with_pool jobs (fun pool ->
-          Dr_exp.Sweep.run ~pool ~progress:stderr_progress cfg ~avg_degree:degree
-            ~lambdas:(lambdas_for ~quick degree) ())
-    in
+  let print json sweep =
     if json then print_string (Dr_exp.Report.details_to_json sweep)
-    else Format.printf "%a@." Dr_exp.Report.print_details sweep;
-    match csv with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Dr_exp.Report.to_csv sweep));
-        Format.eprintf "wrote %s@." file
+    else Format.printf "%a@." Dr_exp.Report.print_details sweep
   in
-  Cmd.v
-    (Cmd.info "details" ~doc:"Per-cell diagnostics for one sweep.")
-    Term.(const run $ obs_t $ jobs_t $ json_t $ degree_t $ quick_t $ seed_t $ csv_t)
+  sweep_cmd "details" ~doc:"Per-cell diagnostics for one sweep."
+    Term.(const print $ json_t)
 
 let claims_cmd =
   let json_t =
@@ -218,16 +241,15 @@ let claims_cmd =
       "Emit one machine-readable JSON record per claim \
        (claim/expected/measured/pass) instead of the tables."
     in
-    Arg.(value & flag & info [ "json" ] ~doc)
+    flag_t "json" ~doc
   in
-  let run () jobs json quick seed =
-    let cfg = config_of ~quick ~seed in
+  let run json c =
     let claims =
-      with_pool jobs (fun pool ->
+      Pool.with_pool ~jobs:c.jobs (fun pool ->
           let sweep degree =
-            Dr_exp.Sweep.run ~pool ~progress:stderr_progress cfg
+            Dr_exp.Sweep.run ~pool ~progress:stderr_progress c.cfg
               ~avg_degree:degree
-              ~lambdas:(lambdas_for ~quick degree) ()
+              ~lambdas:(Dr_exp.Config.lambdas ~quick:c.quick degree) ()
           in
           let e3 = sweep 3.0 in
           let e4 = sweep 4.0 in
@@ -242,245 +264,215 @@ let claims_cmd =
           claims)
     in
     (* Nonzero exit on any failed claim, so CI can gate on this command.
-       Outside [with_pool]: the workers are already joined. *)
+       Outside [Pool.with_pool]: the workers are already joined. *)
     if not (Dr_exp.Report.all_claims_hold claims) then exit 1
   in
-  Cmd.v
-    (Cmd.info "claims"
-       ~doc:
-         "Run both sweeps and check the paper's summary claims (§6.2); \
-          exits 1 if any claim fails.")
-    Term.(const run $ obs_t $ jobs_t $ json_t $ quick_t $ seed_t)
+  cmd "claims"
+    ~doc:
+      "Run both sweeps and check the paper's summary claims (§6.2); exits 1 \
+       if any claim fails."
+    Term.(const run $ json_t $ common_t)
 
-let ablate_mux_cmd =
-  let run () jobs degree traffic lambda quick seed =
-    let cfg = config_of ~quick ~seed in
-    Format.printf "%a@." Dr_exp.Ablation.pp_mux
-      (with_pool jobs (fun pool ->
-           Dr_exp.Ablation.no_multiplexing ~pool cfg ~avg_degree:degree ~traffic
-             ~lambda))
-  in
-  Cmd.v
-    (Cmd.info "ablate-mux"
-       ~doc:"Ablation A1: multiplexed vs dedicated spare reservations.")
-    Term.(const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ quick_t $ seed_t)
+(* ---- ablate: one row per ablation or extension study --------------------- *)
 
-let ablate_flood_cmd =
-  let run () jobs degree traffic lambda quick seed =
-    let cfg = config_of ~quick ~seed in
-    Format.printf "%a@." Dr_exp.Ablation.pp_flood
-      (with_pool jobs (fun pool ->
-           Dr_exp.Ablation.flood_scope ~pool cfg ~avg_degree:degree ~traffic
-             ~lambda ()))
-  in
-  Cmd.v
-    (Cmd.info "ablate-flood"
-       ~doc:"Ablation A2: bounded-flooding scope parameters.")
-    Term.(const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ quick_t $ seed_t)
+(* Name, description, default lambda, and the study: it runs on the pool
+   and prints its table. *)
+let ablations =
+  let module A = Dr_exp.Ablation in
+  let show pp rows = Format.printf "%a@." pp rows in
+  [
+    ( "mux", "Ablation A1: multiplexed vs dedicated spare reservations.", 0.5,
+      fun ~pool cfg ~degree ~traffic ~lambda ->
+        show A.pp_mux
+          (A.no_multiplexing ~pool cfg ~avg_degree:degree ~traffic ~lambda) );
+    ( "flood", "Ablation A2: bounded-flooding scope parameters.", 0.5,
+      fun ~pool cfg ~degree ~traffic ~lambda ->
+        show A.pp_flood
+          (A.flood_scope ~pool cfg ~avg_degree:degree ~traffic ~lambda ()) );
+    ( "spf",
+      "Ablation A3: conflict-aware vs conflict-blind backup routing, at E = 3 \
+       and E = 4.",
+      0.5,
+      fun ~pool cfg ~degree:_ ~traffic ~lambda ->
+        show A.pp_blind (A.conflict_blind ~pool cfg ~traffic ~lambda) );
+    ( "backups",
+      "Extension E2: zero, one or two backups per DR-connection (edge and \
+       node fault-tolerance vs capacity).",
+      0.4,
+      fun ~pool cfg ~degree ~traffic ~lambda ->
+        show A.pp_backup_count
+          (A.backup_count ~pool cfg ~avg_degree:degree ~traffic ~lambda ()) );
+    ( "qos",
+      "Extension E5: hop (delay) budget on backup routes — tight QoS \
+       forfeits protection.",
+      0.4,
+      fun ~pool cfg ~degree ~traffic ~lambda ->
+        show A.pp_qos
+          (A.qos_bound ~pool cfg ~avg_degree:degree ~traffic ~lambda ()) );
+    ( "classes",
+      "Heterogeneous bandwidth classes (audio/video mixes) through the \
+       weighted multiplexing rule.",
+      0.3,
+      fun ~pool cfg ~degree ~traffic ~lambda ->
+        show A.pp_classes
+          (A.traffic_classes ~pool cfg ~avg_degree:degree ~traffic ~lambda
+             ()) );
+  ]
 
-let ablate_spf_cmd =
-  let run () jobs traffic lambda quick seed =
-    let cfg = config_of ~quick ~seed in
-    Format.printf "%a@." Dr_exp.Ablation.pp_blind
-      (with_pool jobs (fun pool ->
-           Dr_exp.Ablation.conflict_blind ~pool cfg ~traffic ~lambda))
+let ablate_cmd =
+  let study_t =
+    let doc =
+      "The study to run, one of those listed under DESCRIPTION.  $(b,spf) \
+       compares E = 3 and E = 4 itself, so $(b,--degree) does not apply to it."
+    in
+    let names = List.map (fun (name, _, _, _) -> (name, name)) ablations in
+    Arg.(required & pos 0 (some (enum names)) None & info [] ~docv:"NAME" ~doc)
   in
-  Cmd.v
-    (Cmd.info "ablate-spf"
-       ~doc:"Ablation A3: conflict-aware vs conflict-blind backup routing.")
-    Term.(const run $ obs_t $ jobs_t $ traffic_t $ lambda_t ~default:0.5 $ quick_t $ seed_t)
-
-let ablate_backups_cmd =
-  let run () jobs degree traffic lambda quick seed =
-    let cfg = config_of ~quick ~seed in
-    Format.printf "%a@." Dr_exp.Ablation.pp_backup_count
-      (with_pool jobs (fun pool ->
-           Dr_exp.Ablation.backup_count ~pool cfg ~avg_degree:degree ~traffic
-             ~lambda ()))
+  let lambda_t =
+    let doc =
+      "Connection arrival rate lambda (requests/second); default: the \
+       study's own, listed under DESCRIPTION."
+    in
+    Arg.(value & opt (some float) None & info [ "lambda" ] ~docv:"LAMBDA" ~doc)
   in
-  Cmd.v
-    (Cmd.info "ablate-backups"
-       ~doc:
-         "Extension E2: zero, one or two backups per DR-connection (edge and \
-          node fault-tolerance vs capacity).")
-    Term.(const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.4 $ quick_t $ seed_t)
+  let man =
+    `S Manpage.s_description
+    :: List.map
+         (fun (name, doc, lambda, _) ->
+           `I
+             ( Printf.sprintf "$(b,%s)" name,
+               Printf.sprintf "%s  Default $(b,--lambda) %g." doc lambda ))
+         ablations
+  in
+  let run name c degree traffic lambda =
+    let _, _, default, study =
+      List.find (fun (n, _, _, _) -> n = name) ablations
+    in
+    Pool.with_pool ~jobs:c.jobs (fun pool ->
+        study ~pool c.cfg ~degree ~traffic
+          ~lambda:(Option.value lambda ~default))
+  in
+  cmd "ablate" ~man
+    ~doc:"Run one ablation or extension study and print its table."
+    Term.(const run $ study_t $ common_t $ degree_t $ traffic_t $ lambda_t)
 
 let replicate_cmd =
   let seeds_t =
-    Arg.(
-      value & opt int 3
-      & info [ "seeds" ] ~docv:"N" ~doc:"Number of independent replications.")
+    Term.(
+      const (at_least_one "--seeds")
+      $ int_t "seeds" 3 ~doc:"Number of independent replications.")
   in
-  let run () jobs degree seeds quick seed =
-    let cfg = config_of ~quick ~seed in
+  let run c degree seeds =
     let t =
-      with_pool jobs (fun pool ->
-          Dr_exp.Replicate.run ~pool ~progress:stderr_progress cfg
+      Pool.with_pool ~jobs:c.jobs (fun pool ->
+          Dr_exp.Replicate.run ~pool ~progress:stderr_progress c.cfg
             ~avg_degree:degree
             ~seeds:(List.init seeds (fun i -> i))
-            ~lambdas:(lambdas_for ~quick degree) ())
+            ~lambdas:(Dr_exp.Config.lambdas ~quick:c.quick degree) ())
     in
     Format.printf "%a@.@.%a@." Dr_exp.Replicate.print_figure4 t
       Dr_exp.Replicate.print_figure5 t
   in
-  Cmd.v
-    (Cmd.info "replicate"
-       ~doc:
-         "Figures 4/5 with multi-seed replication and confidence intervals.")
-    Term.(const run $ obs_t $ jobs_t $ degree_t $ seeds_t $ quick_t $ seed_t)
-
-let ablate_qos_cmd =
-  let run () jobs degree traffic lambda quick seed =
-    let cfg = config_of ~quick ~seed in
-    Format.printf "%a@." Dr_exp.Ablation.pp_qos
-      (with_pool jobs (fun pool ->
-           Dr_exp.Ablation.qos_bound ~pool cfg ~avg_degree:degree ~traffic
-             ~lambda ()))
-  in
-  Cmd.v
-    (Cmd.info "ablate-qos"
-       ~doc:
-         "Extension E5: hop (delay) budget on backup routes — tight QoS \
-          forfeits protection.")
-    Term.(const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.4 $ quick_t $ seed_t)
-
-let ablate_classes_cmd =
-  let run () jobs degree traffic lambda quick seed =
-    let cfg = config_of ~quick ~seed in
-    Format.printf "%a@." Dr_exp.Ablation.pp_classes
-      (with_pool jobs (fun pool ->
-           Dr_exp.Ablation.traffic_classes ~pool cfg ~avg_degree:degree ~traffic
-             ~lambda ()))
-  in
-  Cmd.v
-    (Cmd.info "ablate-classes"
-       ~doc:
-         "Heterogeneous bandwidth classes (audio/video mixes) through the \
-          weighted multiplexing rule.")
-    Term.(const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.3 $ quick_t $ seed_t)
+  cmd "replicate"
+    ~doc:"Figures 4/5 with multi-seed replication and confidence intervals."
+    Term.(const run $ common_t $ degree_t $ seeds_t)
 
 let availability_cmd =
   let mtbf_t =
-    Arg.(value & opt float 600.0
-         & info [ "mtbf" ] ~docv:"S" ~doc:"Mean time between failures (seconds).")
+    seconds_t "mtbf" 600.0 ~doc:"Mean time between failures (seconds)."
   in
-  let mttr_t =
-    Arg.(value & opt float 120.0
-         & info [ "mttr" ] ~docv:"S" ~doc:"Mean time to repair (seconds).")
-  in
-  let run () _jobs degree traffic lambda mtbf mttr quick seed =
-    let cfg = config_of ~quick ~seed in
+  let mttr_t = seconds_t "mttr" 120.0 ~doc:"Mean time to repair (seconds)." in
+  let run c degree traffic lambda mtbf mttr =
     Format.printf "%a@." Dr_exp.Availability_exp.pp
-      (Dr_exp.Availability_exp.run cfg ~avg_degree:degree ~traffic ~lambda ~mtbf
-         ~mttr ())
+      (Dr_exp.Availability_exp.run c.cfg ~avg_degree:degree ~traffic ~lambda
+         ~mtbf ~mttr ())
   in
-  Cmd.v
-    (Cmd.info "availability"
-       ~doc:
-         "Extension E6: service availability under a continuous \
-          failure/repair process, DRTP vs reactive.")
+  cmd "availability"
+    ~doc:
+      "Extension E6: service availability under a continuous failure/repair \
+       process, DRTP vs reactive."
     Term.(
-      const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ mtbf_t $ mttr_t
-      $ quick_t $ seed_t)
+      const run $ common_t $ degree_t $ traffic_t $ lambda_t ~default:0.5
+      $ mtbf_t $ mttr_t)
 
 let staleness_cmd =
-  let run () _jobs degree traffic lambda quick seed =
-    let cfg = config_of ~quick ~seed in
+  let run c degree traffic lambda =
     Format.printf "%a@." Dr_exp.Staleness_exp.pp
-      (Dr_exp.Staleness_exp.run cfg ~avg_degree:degree ~traffic ~lambda ())
+      (Dr_exp.Staleness_exp.run c.cfg ~avg_degree:degree ~traffic ~lambda ())
   in
-  Cmd.v
-    (Cmd.info "staleness"
-       ~doc:
-         "Extension E4: distributed protocol with damped link-state \
-          advertisements (setup failures vs advertisement traffic).")
-    Term.(const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ quick_t $ seed_t)
+  cmd "staleness"
+    ~doc:
+      "Extension E4: distributed protocol with damped link-state \
+       advertisements (setup failures vs advertisement traffic)."
+    Term.(const run $ common_t $ degree_t $ traffic_t $ lambda_t ~default:0.5)
 
 let overhead_cmd =
-  let run () _jobs degree traffic lambda quick seed =
-    let cfg = config_of ~quick ~seed in
+  let run c degree traffic lambda =
     Format.printf "%a@." Dr_exp.Overhead.pp
-      (Dr_exp.Overhead.measure cfg ~avg_degree:degree ~traffic ~lambda)
+      (Dr_exp.Overhead.measure c.cfg ~avg_degree:degree ~traffic ~lambda)
   in
-  Cmd.v
-    (Cmd.info "overhead" ~doc:"Routing-overhead comparison of the schemes.")
-    Term.(const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ quick_t $ seed_t)
+  cmd "overhead" ~doc:"Routing-overhead comparison of the schemes."
+    Term.(const run $ common_t $ degree_t $ traffic_t $ lambda_t ~default:0.5)
 
 let recovery_cmd =
-  let failures_t =
-    Arg.(value & opt int 40 & info [ "failures" ] ~docv:"N" ~doc:"Failures to inject.")
-  in
-  let run () _jobs degree traffic lambda failures quick seed =
-    let cfg = config_of ~quick ~seed in
+  let failures_t = int_t "failures" 40 ~doc:"Failures to inject." in
+  let run c degree traffic lambda failures =
     Format.printf "%a@." Dr_exp.Recovery_exp.pp
-      (Dr_exp.Recovery_exp.run cfg ~avg_degree:degree ~traffic ~lambda ~failures ())
+      (Dr_exp.Recovery_exp.run c.cfg ~avg_degree:degree ~traffic ~lambda
+         ~failures ())
   in
-  Cmd.v
-    (Cmd.info "recovery"
-       ~doc:"Extension E1: dynamic failure recovery, DRTP vs reactive.")
+  cmd "recovery"
+    ~doc:"Extension E1: dynamic failure recovery, DRTP vs reactive."
     Term.(
-      const run $ obs_t $ jobs_t $ degree_t $ traffic_t $ lambda_t ~default:0.5 $ failures_t
-      $ quick_t $ seed_t)
+      const run $ common_t $ degree_t $ traffic_t $ lambda_t ~default:0.5
+      $ failures_t)
 
 let topo_cmd =
-  let dot_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dot" ] ~docv:"FILE" ~doc:"Also write a Graphviz rendering.")
-  in
+  let dot_t = output_t "dot" ~doc:"Also write a Graphviz rendering." in
   let save_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save" ] ~docv:"FILE" ~doc:"Also save the edge list.")
+    output_t "save" ~what:"edge-list" ~doc:"Also save the edge list."
   in
-  let run () _jobs degree dot save quick seed =
-    let cfg = config_of ~quick ~seed in
-    let g = Dr_exp.Config.make_graph cfg ~avg_degree:degree in
-    (match save with
-    | None -> ()
-    | Some file ->
-        Dr_topo.Graph.save g file;
-        Format.printf "saved %s@." file);
+  let run c degree dot save =
+    let g = Dr_exp.Config.make_graph c.cfg ~avg_degree:degree in
+    Option.iter
+      (fun (file, oc) ->
+        write_output oc (Dr_topo.Graph.to_string g);
+        Format.printf "saved %s@." file)
+      save;
     Format.printf "%a@." Dr_topo.Topo_metrics.pp (Dr_topo.Topo_metrics.compute g);
     Format.printf "degree histogram: %a@."
       (Format.pp_print_list ~pp_sep:Format.pp_print_space (fun ppf (d, c) ->
            Format.fprintf ppf "%d:%d" d c))
       (Dr_topo.Topo_metrics.degree_histogram g);
-    match dot with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Dr_topo.Dot.to_dot g));
-        Format.printf "wrote %s@." file
+    Option.iter
+      (fun (file, oc) ->
+        write_output oc (Dr_topo.Dot.to_dot g);
+        Format.printf "wrote %s@." file)
+      dot
   in
-  Cmd.v
-    (Cmd.info "topo" ~doc:"Describe the generated evaluation topology.")
-    Term.(const run $ obs_t $ jobs_t $ degree_t $ dot_t $ save_t $ quick_t $ seed_t)
+  cmd "topo" ~doc:"Describe the generated evaluation topology."
+    Term.(const run $ common_t $ degree_t $ dot_t $ save_t)
 
 let scenario_cmd =
   let out_t =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output scenario file.")
+    Term.(
+      const (fun file -> (file, open_output "scenario" file))
+      $ Arg.(
+          required
+          & opt (some string) None
+          & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output scenario file."))
   in
-  let run () _jobs traffic lambda out quick seed =
-    let cfg = config_of ~quick ~seed in
-    let s = Dr_exp.Config.make_scenario cfg traffic ~lambda in
-    Dr_sim.Scenario.save s out;
+  let run c traffic lambda (file, oc) =
+    let s = Dr_exp.Config.make_scenario c.cfg traffic ~lambda in
+    write_output oc (Dr_sim.Scenario.to_string s);
     Format.printf "wrote %d events (%d requests) to %s@."
       (Dr_sim.Scenario.length s)
       (Dr_sim.Scenario.request_count s)
-      out
+      file
   in
-  Cmd.v
-    (Cmd.info "scenario"
-       ~doc:"Generate and save a scenario file (the paper's Matlab step).")
-    Term.(const run $ obs_t $ jobs_t $ traffic_t $ lambda_t ~default:0.5 $ out_t $ quick_t $ seed_t)
+  cmd "scenario"
+    ~doc:"Generate and save a scenario file (the paper's Matlab step)."
+    Term.(const run $ common_t $ traffic_t $ lambda_t ~default:0.5 $ out_t)
 
 let replay_cmd =
   let file_t =
@@ -509,21 +501,20 @@ let replay_cmd =
       & info [ "scheme" ] ~docv:"SCHEME"
           ~doc:"Routing scheme: d-lsr, p-lsr, spf, bf or none.")
   in
-  let run () _jobs degree file scheme quick seed =
-    let cfg = config_of ~quick ~seed in
+  let run c degree file scheme =
     match Dr_sim.Scenario.load file with
     | Error msg ->
         Format.eprintf "cannot load %s: %s@." file msg;
         exit 1
     | Ok scenario ->
-        let graph = Dr_exp.Config.make_graph cfg ~avg_degree:degree in
+        let graph = Dr_exp.Config.make_graph c.cfg ~avg_degree:degree in
         let spec =
           match scheme with
           | `Bf -> Dr_exp.Runner.Bf Dr_flood.Bounded_flood.default_config
           | `None -> Dr_exp.Runner.No_backup
           | `Lsr x -> Dr_exp.Runner.Lsr x
         in
-        let m = Dr_exp.Runner.run cfg ~graph ~scenario ~scheme:spec in
+        let m = Dr_exp.Runner.run c.cfg ~graph ~scenario ~scheme:spec in
         Format.printf
           "%s: %d requests, acceptance %.3f, ft %.4f, node-ft %.4f, avg \
            active %.1f, degraded %d@."
@@ -531,24 +522,15 @@ let replay_cmd =
           m.Dr_exp.Runner.ft_overall m.Dr_exp.Runner.node_ft_overall
           m.Dr_exp.Runner.avg_active m.Dr_exp.Runner.degraded
   in
-  Cmd.v
-    (Cmd.info "replay"
-       ~doc:"Replay a saved scenario file under a chosen routing scheme.")
-    Term.(const run $ obs_t $ jobs_t $ degree_t $ file_t $ scheme_t $ quick_t $ seed_t)
+  cmd "replay"
+    ~doc:"Replay a saved scenario file under a chosen routing scheme."
+    Term.(const run $ common_t $ degree_t $ file_t $ scheme_t)
 
 (* ---- explain: route one connection and show the decision ---------------- *)
 
 let explain_cmd =
   let scheme_t =
-    let parse s =
-      Result.map_error (fun e -> `Msg e) (Drtp.Routing.scheme_of_string s)
-    in
-    let print ppf s = Format.pp_print_string ppf (Drtp.Routing.scheme_name s) in
-    Arg.(
-      value
-      & opt (conv (parse, print)) Drtp.Routing.Dlsr
-      & info [ "scheme" ] ~docv:"SCHEME"
-          ~doc:"Link-state scheme to explain: d-lsr, p-lsr or spf.")
+    scheme_t ~doc:"Link-state scheme to explain: d-lsr, p-lsr or spf."
   in
   let src_t =
     Arg.(
@@ -563,44 +545,30 @@ let explain_cmd =
       & info [ "dst" ] ~docv:"NODE"
           ~doc:"Destination node (default: a seeded draw).")
   in
-  let bw_t =
-    Arg.(
-      value & opt int 1
-      & info [ "bw" ] ~docv:"UNITS" ~doc:"Requested bandwidth units.")
-  in
+  let bw_t = int_t "bw" 1 ~docv:"UNITS" ~doc:"Requested bandwidth units." in
   let top_t =
-    Arg.(
-      value & opt int 3
-      & info [ "top" ] ~docv:"K" ~doc:"Candidate backup routes to tabulate.")
+    int_t "top" 3 ~docv:"K" ~doc:"Candidate backup routes to tabulate."
   in
   let dot_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dot" ] ~docv:"FILE"
-          ~doc:
-            "Write an annotated Graphviz overlay of the chosen routes (edges \
-             labelled id/capacity/spare).")
+    output_t "dot"
+      ~doc:
+        "Write an annotated Graphviz overlay of the chosen routes (edges \
+         labelled id/capacity/spare)."
   in
   let chain_t =
-    Arg.(
-      value & opt int 0
-      & info [ "chain" ] ~docv:"K"
-          ~doc:
-            "Also build and print the $(docv)-resilient backup chain \
-             (failover order, per-member SRLG-disjointness).  0 = off.")
+    int_t "chain" 0 ~docv:"K"
+      ~doc:
+        "Also build and print the $(docv)-resilient backup chain \
+         (failover order, per-member SRLG-disjointness).  0 = off."
   in
   let srlg_size_t =
-    Arg.(
-      value & opt int 1
-      & info [ "srlg-size" ] ~docv:"S"
-          ~doc:
-            "Warm the network under a random SRLG partition of mean group \
-             size $(docv) (seeded); 1 = singleton model.")
+    int_t "srlg-size" 1 ~docv:"S"
+      ~doc:
+        "Warm the network under a random SRLG partition of mean group \
+         size $(docv) (seeded); 1 = singleton model."
   in
-  let run () _jobs degree traffic lambda scheme src dst bw top dot chain
-      srlg_size quick seed =
-    let cfg = config_of ~quick ~seed in
+  let run { cfg; seed; _ } degree traffic lambda scheme src dst bw top dot
+      chain srlg_size =
     let graph = Dr_exp.Config.make_graph cfg ~avg_degree:degree in
     let scenario = Dr_exp.Config.make_scenario cfg traffic ~lambda in
     Format.eprintf "warming network to t=%.0f s (%s, lambda=%.2f)...@."
@@ -628,11 +596,8 @@ let explain_cmd =
           let s, d = Dr_rng.Dist.pick_distinct_pair rng n in
           (Option.value src ~default:s, Option.value dst ~default:d)
     in
-    if src < 0 || src >= n || dst < 0 || dst >= n || src = dst then begin
-      Printf.eprintf "drtp_sim: bad src/dst pair (%d, %d) for %d nodes\n" src
-        dst n;
-      exit 2
-    end;
+    if src < 0 || src >= n || dst < 0 || dst >= n || src = dst then
+      usage_error "bad src/dst pair (%d, %d) for %d nodes" src dst n;
     let pp_nodes ppf p =
       Format.pp_print_list
         ~pp_sep:(fun ppf () -> Format.pp_print_char ppf '-')
@@ -739,9 +704,8 @@ let explain_cmd =
                 (Dr_topo.Path.links path);
               Format.printf "  %56s %10g@." "sum =" !sum)
             cands;
-        (match dot with
-        | None -> ()
-        | Some file ->
+        Option.iter
+          (fun (file, oc) ->
             let edge_label e =
               let l, _ = Dr_topo.Graph.links_of_edge e in
               Some
@@ -750,25 +714,21 @@ let explain_cmd =
                    (Drtp.Resources.spare_bw resources l))
             in
             let backups = match chosen with None -> [] | Some b -> [ b ] in
-            let oc = open_out file in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () ->
-                output_string oc
-                  (Dr_topo.Dot.routes_to_dot ~edge_label graph ~primary ~backups));
+            write_output oc
+              (Dr_topo.Dot.routes_to_dot ~edge_label graph ~primary ~backups);
             Format.printf "wrote %s@." file)
+          dot
   in
-  Cmd.v
-    (Cmd.info "explain"
-       ~doc:
-         "Route one seeded DR-connection on a warmed network and print the \
-          backup decision: the chosen route next to the top-K candidate \
-          routes, each link's cost decomposed into Q-penalty, conflict term \
-          and epsilon tie-break (rows sum bit-exactly to the search cost).")
+  cmd "explain"
+    ~doc:
+      "Route one seeded DR-connection on a warmed network and print the \
+       backup decision: the chosen route next to the top-K candidate routes, \
+       each link's cost decomposed into Q-penalty, conflict term and epsilon \
+       tie-break (rows sum bit-exactly to the search cost)."
     Term.(
-      const run $ obs_t $ jobs_t $ degree_t $ traffic_t
-      $ lambda_t ~default:0.5 $ scheme_t $ src_t $ dst_t $ bw_t $ top_t $ dot_t
-      $ chain_t $ srlg_size_t $ quick_t $ seed_t)
+      const run $ common_t $ degree_t $ traffic_t $ lambda_t ~default:0.5
+      $ scheme_t $ src_t $ dst_t $ bw_t $ top_t $ dot_t $ chain_t
+      $ srlg_size_t)
 
 (* ---- serve: throughput-gated admission-control service loop ------------- *)
 
@@ -776,70 +736,46 @@ let serve_cmd =
   let module Serve = Dr_service.Serve in
   let module Serve_exp = Dr_exp.Serve_exp in
   let scheme_t =
-    let parse s =
-      Result.map_error (fun e -> `Msg e) (Drtp.Routing.scheme_of_string s)
-    in
-    let print ppf s = Format.pp_print_string ppf (Drtp.Routing.scheme_name s) in
-    Arg.(
-      value
-      & opt (conv (parse, print)) Drtp.Routing.Dlsr
-      & info [ "scheme" ] ~docv:"SCHEME"
-          ~doc:
-            "Link-state scheme to serve with: d-lsr, p-lsr or spf (bounded \
-             flooding shares mutable flood statistics and is not servable).")
+    scheme_t
+      ~doc:
+        "Link-state scheme to serve with: d-lsr, p-lsr or spf (bounded \
+         flooding shares mutable flood statistics and is not servable)."
   in
   let batch_t =
-    Arg.(
-      value
-      & opt int Serve.default.Serve.sv_batch
-      & info [ "batch" ] ~docv:"N" ~doc:"Requests per admission batch.")
+    int_t "batch" Serve.default.Serve.sv_batch
+      ~doc:"Requests per admission batch."
   in
   let reorder_t =
-    Arg.(
-      value & flag
-      & info [ "reorder" ]
-          ~doc:
-            "Commit each batch in locality order (grouped by source, then \
-             destination) instead of arrival order.")
+    flag_t "reorder"
+      ~doc:
+        "Commit each batch in locality order (grouped by source, then \
+         destination) instead of arrival order."
   in
   let what_if_every_t =
-    Arg.(
-      value
-      & opt int Serve.default.Serve.sv_what_if_every
-      & info [ "what-if-every" ] ~docv:"N"
-          ~doc:"Inject a what-if query burst every $(docv) batches (0 = never).")
+    int_t "what-if-every" Serve.default.Serve.sv_what_if_every
+      ~doc:"Inject a what-if query burst every $(docv) batches (0 = never)."
   in
   let what_if_burst_t =
-    Arg.(
-      value
-      & opt int Serve.default.Serve.sv_what_if_burst
-      & info [ "what-if-burst" ] ~docv:"N" ~doc:"Queries per what-if burst.")
+    int_t "what-if-burst" Serve.default.Serve.sv_what_if_burst
+      ~doc:"Queries per what-if burst."
   in
   let probe_every_t =
-    Arg.(
-      value
-      & opt int Serve.default.Serve.sv_probe_every
-      & info [ "probe-every" ] ~docv:"N"
-          ~doc:
-            "Evaluate a seeded link-failure probe every $(docv) batches (0 = \
-             never).")
+    int_t "probe-every" Serve.default.Serve.sv_probe_every
+      ~doc:
+        "Evaluate a seeded link-failure probe every $(docv) batches (0 = \
+         never)."
   in
   let check_every_t =
-    Arg.(
-      value
-      & opt int Serve.default.Serve.sv_check_every
-      & info [ "check-every" ] ~docv:"N"
-          ~doc:
-            "Audit state invariants, every APLV count included, every \
-             $(docv) batches (a final audit always runs).")
+    int_t "check-every" Serve.default.Serve.sv_check_every
+      ~doc:
+        "Audit state invariants, every APLV count included, every \
+         $(docv) batches (a final audit always runs)."
   in
   let smoke_t =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Tiny fixed-seed run for CI: a short horizon, frequent invariant \
-             audits, nonzero exit on any violation.")
+    flag_t "smoke"
+      ~doc:
+        "Tiny fixed-seed run for CI: a short horizon, frequent invariant \
+         audits, nonzero exit on any violation."
   in
   let wal_t =
     Arg.(
@@ -851,31 +787,22 @@ let serve_cmd =
              checkpoint lives at $(docv).ckpt); enables crash recovery.")
   in
   let checkpoint_every_t =
-    Arg.(
-      value
-      & opt int Serve.default.Serve.sv_checkpoint_every
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:
-            "Checkpoint the manager once the WAL tail reaches $(docv) \
-             records (at the next batch boundary); 0 = never.")
+    int_t "checkpoint-every" Serve.default.Serve.sv_checkpoint_every
+      ~doc:
+        "Checkpoint the manager once the WAL tail reaches $(docv) \
+         records (at the next batch boundary); 0 = never."
   in
   let crash_every_t =
-    Arg.(
-      value
-      & opt int Serve.default.Serve.sv_crash_every
-      & info [ "crash-every" ] ~docv:"N"
-          ~doc:
-            "Crash the manager every $(docv) batches and recover it from \
-             the checkpoint + WAL tail (requires $(b,--wal)); 0 = never.")
+    int_t "crash-every" Serve.default.Serve.sv_crash_every
+      ~doc:
+        "Crash the manager every $(docv) batches and recover it from \
+         the checkpoint + WAL tail (requires $(b,--wal)); 0 = never."
   in
   let queue_cap_t =
-    Arg.(
-      value
-      & opt int Serve.default.Serve.sv_queue_cap
-      & info [ "queue-cap" ] ~docv:"N"
-          ~doc:
-            "Bound the admission queue at $(docv) requests; excess arrivals \
-             are shed with a journalled verdict (0 = unbounded).")
+    int_t "queue-cap" Serve.default.Serve.sv_queue_cap
+      ~doc:
+        "Bound the admission queue at $(docv) requests; excess arrivals \
+         are shed with a journalled verdict (0 = unbounded)."
   in
   let deadline_t =
     Arg.(
@@ -887,25 +814,19 @@ let serve_cmd =
              flush time (0 = off).")
   in
   let overload_every_t =
-    Arg.(
-      value
-      & opt int Serve.default.Serve.sv_overload_every
-      & info [ "overload-every" ] ~docv:"N"
-          ~doc:
-            "Inject a seeded synthetic request burst every $(docv) batches \
-             (0 = off).")
+    int_t "overload-every" Serve.default.Serve.sv_overload_every
+      ~doc:
+        "Inject a seeded synthetic request burst every $(docv) batches \
+         (0 = off)."
   in
   let overload_burst_t =
-    Arg.(
-      value
-      & opt int Serve.default.Serve.sv_overload_burst
-      & info [ "overload-burst" ] ~docv:"N"
-          ~doc:"Synthetic requests per overload burst.")
+    int_t "overload-burst" Serve.default.Serve.sv_overload_burst
+      ~doc:"Synthetic requests per overload burst."
   in
-  let run () _jobs degree traffic lambda scheme batch reorder what_if_every
-      what_if_burst probe_every check_every quick smoke wal checkpoint_every
-      crash_every queue_cap deadline overload_every overload_burst seed =
-    let cfg = config_of ~quick:(quick || smoke) ~seed in
+  let run { cfg; seed; _ } degree traffic lambda scheme batch reorder
+      what_if_every what_if_burst probe_every check_every smoke wal
+      checkpoint_every crash_every queue_cap deadline overload_every
+      overload_burst =
     let cfg =
       if smoke then { cfg with Dr_exp.Config.warmup = 600.0; horizon = 1200.0 }
       else cfg
@@ -944,37 +865,28 @@ let serve_cmd =
       exit 1
     end
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Drive a seeded open-loop request stream through the batched \
-          admission service, with interleaved what-if queries and failure \
-          probes; reports sustained admissions/sec and latency quantiles.  \
-          Runs on one domain: $(b,--jobs) is accepted and changes nothing.")
+  cmd "serve"
+    ~doc:
+      "Drive a seeded open-loop request stream through the batched admission \
+       service, with interleaved what-if queries and failure probes; reports \
+       sustained admissions/sec and latency quantiles.  Runs on one domain: \
+       $(b,--jobs) is accepted and changes nothing."
     Term.(
-      const run $ obs_t $ jobs_t $ degree_t $ traffic_t
-      $ lambda_t ~default:0.4 $ scheme_t $ batch_t $ reorder_t
-      $ what_if_every_t $ what_if_burst_t $ probe_every_t $ check_every_t
-      $ quick_t $ smoke_t $ wal_t $ checkpoint_every_t $ crash_every_t
-      $ queue_cap_t $ deadline_t $ overload_every_t $ overload_burst_t
-      $ seed_t)
+      const run $ common_t $ degree_t $ traffic_t $ lambda_t ~default:0.4
+      $ scheme_t $ batch_t $ reorder_t $ what_if_every_t $ what_if_burst_t
+      $ probe_every_t $ check_every_t $ smoke_t $ wal_t $ checkpoint_every_t
+      $ crash_every_t $ queue_cap_t $ deadline_t $ overload_every_t
+      $ overload_burst_t)
 
 (* ---- recover: rebuild a manager from checkpoint + WAL ------------------- *)
 
 let recover_cmd =
   let module Persist = Dr_persist.Persist in
   let scheme_t =
-    let parse s =
-      Result.map_error (fun e -> `Msg e) (Drtp.Routing.scheme_of_string s)
-    in
-    let print ppf s = Format.pp_print_string ppf (Drtp.Routing.scheme_name s) in
-    Arg.(
-      value
-      & opt (conv (parse, print)) Drtp.Routing.Dlsr
-      & info [ "scheme" ] ~docv:"SCHEME"
-          ~doc:
-            "Link-state scheme the logged run served with (d-lsr, p-lsr or \
-             spf) — replay must route exactly as the live run did.")
+    scheme_t
+      ~doc:
+        "Link-state scheme the logged run served with (d-lsr, p-lsr or spf) \
+         — replay must route exactly as the live run did."
   in
   let wal_t =
     Arg.(
@@ -986,14 +898,12 @@ let recover_cmd =
              $(docv).ckpt when present).")
   in
   let smoke_t =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Use the serve $(b,--smoke) topology parameters, so the digest \
-             is comparable with a smoke run's.")
+    flag_t "smoke"
+      ~doc:
+        "Use the serve $(b,--smoke) topology parameters, so the digest \
+         is comparable with a smoke run's."
   in
-  let run () degree scheme quick smoke wal seed =
+  let run degree scheme quick smoke wal seed =
     let cfg = config_of ~quick:(quick || smoke) ~seed in
     let graph = Dr_exp.Config.make_graph cfg ~avg_degree:degree in
     let route = Drtp.Routing.link_state_route_fn scheme ~with_backup:true in
@@ -1023,42 +933,30 @@ let recover_cmd =
           (Dr_persist.State_digest.manager_hex graph manager);
         Format.print_flush ()
   in
-  Cmd.v
-    (Cmd.info "recover"
-       ~doc:
-         "Rebuild admission-control state from a serve run's checkpoint and \
-          write-ahead-log tail, audit its invariants, and print the state \
-          digest — compare with the serve run's $(b,digest=) line to verify \
-          crash-recovery equivalence.")
-    Term.(
-      const run $ obs_t $ degree_t $ scheme_t $ quick_t $ smoke_t
-      $ wal_t $ seed_t)
+  cmd "recover"
+    ~doc:
+      "Rebuild admission-control state from a serve run's checkpoint and \
+       write-ahead-log tail, audit its invariants, and print the state digest \
+       — compare with the serve run's $(b,digest=) line to verify \
+       crash-recovery equivalence."
+    Term.(const run $ degree_t $ scheme_t $ quick_t $ smoke_t $ wal_t $ seed_t)
 
 (* ---- check-routing: fast path vs reference oracle ----------------------- *)
 
 let check_routing_cmd =
   let module RC = Drtp.Routing_check in
   let graphs_t =
-    Arg.(
-      value
-      & opt int RC.default_params.RC.graphs
-      & info [ "graphs" ] ~docv:"N"
-          ~doc:"Independent Waxman graphs to check.")
+    int_t "graphs" RC.default_params.RC.graphs
+      ~doc:"Independent Waxman graphs to check."
   in
   let nodes_t =
-    Arg.(
-      value
-      & opt int RC.default_params.RC.nodes
-      & info [ "nodes" ] ~docv:"N" ~doc:"Nodes per graph.")
+    int_t "nodes" RC.default_params.RC.nodes ~doc:"Nodes per graph."
   in
   let admissions_t =
-    Arg.(
-      value
-      & opt int RC.default_params.RC.admissions
-      & info [ "admissions" ] ~docv:"N"
-          ~doc:"Random admission attempts per graph per scheme.")
+    int_t "admissions" RC.default_params.RC.admissions
+      ~doc:"Random admission attempts per graph per scheme."
   in
-  let run () jobs graphs nodes admissions degree seed =
+  let run jobs graphs nodes admissions degree seed =
     let params =
       {
         RC.default_params with
@@ -1070,9 +968,9 @@ let check_routing_cmd =
       }
     in
     let report =
-      with_pool jobs (fun pool ->
+      Pool.with_pool ~jobs (fun pool ->
           let results =
-            Dr_parallel.Pool.map pool
+            Pool.map pool
               (fun g -> RC.run_graph params ~graph_index:g)
               (Array.init graphs (fun g -> g))
           in
@@ -1088,8 +986,8 @@ let check_routing_cmd =
                       divergences =
                         [
                           Printf.sprintf "graph %d: harness crashed: %s"
-                            e.Dr_parallel.Pool.index
-                            e.Dr_parallel.Pool.message;
+                            e.Pool.index
+                            e.Pool.message;
                         ];
                     })
             RC.empty_report results)
@@ -1102,32 +1000,23 @@ let check_routing_cmd =
     end
     else Format.printf "check-routing: OK@."
   in
-  Cmd.v
-    (Cmd.info "check-routing"
-       ~doc:
-         "Differential check of the routing fast path against the reference \
-          oracle: replay randomized admission workloads (all three schemes, \
-          with failure churn) on Waxman graphs, comparing routes and \
-          bit-exact per-link cost decompositions between $(b,Routing) and \
-          $(b,Routing_reference).  Exits non-zero on any divergence.")
+  cmd "check-routing"
+    ~doc:
+      "Differential check of the routing fast path against the reference \
+       oracle: replay randomized admission workloads (all three schemes, with \
+       failure churn) on Waxman graphs, comparing routes and bit-exact \
+       per-link cost decompositions between $(b,Routing) and \
+       $(b,Routing_reference).  Exits non-zero on any divergence."
     Term.(
-      const run $ obs_t $ jobs_t $ graphs_t $ nodes_t $ admissions_t
-      $ degree_t $ seed_t)
+      const run $ jobs_t $ graphs_t $ nodes_t $ admissions_t $ degree_t
+      $ seed_t)
 
 (* ---- chaos: robustness sweep under control-plane loss + repair churn ----- *)
 
+let under_test_t =
+  scheme_t ~doc:"Link-state scheme under test: d-lsr, p-lsr or spf."
+
 let chaos_cmd =
-  let scheme_t =
-    let parse s =
-      Result.map_error (fun e -> `Msg e) (Drtp.Routing.scheme_of_string s)
-    in
-    let print ppf s = Format.pp_print_string ppf (Drtp.Routing.scheme_name s) in
-    Arg.(
-      value
-      & opt (conv (parse, print)) Drtp.Routing.Dlsr
-      & info [ "scheme" ] ~docv:"SCHEME"
-          ~doc:"Link-state scheme under test: d-lsr, p-lsr or spf.")
-  in
   let losses_t =
     Arg.(
       value
@@ -1142,33 +1031,24 @@ let chaos_cmd =
       & info [ "mtbfs" ] ~docv:"S,S,..."
           ~doc:"Mean times between link failures to sweep (seconds).")
   in
-  let mttr_t =
-    Arg.(
-      value & opt float 60.0
-      & info [ "mttr" ] ~docv:"S" ~doc:"Mean time to repair (seconds).")
-  in
+  let mttr_t = seconds_t "mttr" 60.0 ~doc:"Mean time to repair (seconds)." in
   let no_queue_t =
-    Arg.(
-      value & flag
-      & info [ "no-queue" ]
-          ~doc:
-            "Disable the reprotection queue (the no-queue baseline for the \
-             differential comparison).")
+    flag_t "no-queue"
+      ~doc:
+        "Disable the reprotection queue (the no-queue baseline for the \
+         differential comparison)."
   in
   let baseline_t =
-    Arg.(
-      value & flag
-      & info [ "baseline" ]
-          ~doc:
-            "Bypass the fault-injection layer entirely (no loss plan is \
-             even installed).  A sweep at $(b,--losses) 0 must be \
-             byte-identical to this — the zero-loss equivalence CI gate.")
+    flag_t "baseline"
+      ~doc:
+        "Bypass the fault-injection layer entirely (no loss plan is \
+         even installed).  A sweep at $(b,--losses) 0 must be \
+         byte-identical to this — the zero-loss equivalence CI gate."
   in
-  let run () jobs degree traffic lambda scheme losses mtbfs mttr no_queue
-      baseline quick seed =
-    let cfg = config_of ~quick ~seed in
+  let run { cfg; jobs; seed; _ } degree traffic lambda scheme losses mtbfs
+      mttr no_queue baseline =
     let rows =
-      with_pool jobs (fun pool ->
+      Pool.with_pool ~jobs (fun pool ->
           Dr_exp.Robustness_exp.run ~pool cfg ~avg_degree:degree ~traffic
             ~lambda ~scheme ~losses ~mtbfs ~mttr ~queue:(not no_queue)
             ~fault_layer:(not baseline)
@@ -1176,32 +1056,19 @@ let chaos_cmd =
     in
     Format.printf "%a@." Dr_exp.Robustness_exp.pp rows
   in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Robustness sweep: recovery success, latency (retransmissions \
-          included) and time-unprotected over a loss-probability x \
-          repair-churn grid, with lossy failure reports and activation \
-          signals and the manager's reprotection queue.")
+  cmd "chaos"
+    ~doc:
+      "Robustness sweep: recovery success, latency (retransmissions included) \
+       and time-unprotected over a loss-probability x repair-churn grid, with \
+       lossy failure reports and activation signals and the manager's \
+       reprotection queue."
     Term.(
-      const run $ obs_t $ jobs_t $ degree_t $ traffic_t
-      $ lambda_t ~default:0.5 $ scheme_t $ losses_t $ mtbfs_t $ mttr_t
-      $ no_queue_t $ baseline_t $ quick_t $ seed_t)
+      const run $ common_t $ degree_t $ traffic_t $ lambda_t ~default:0.5
+      $ under_test_t $ losses_t $ mtbfs_t $ mttr_t $ no_queue_t $ baseline_t)
 
 (* ---- srlg: k-resilient chains under correlated failures ------------------ *)
 
 let srlg_cmd =
-  let scheme_t =
-    let parse s =
-      Result.map_error (fun e -> `Msg e) (Drtp.Routing.scheme_of_string s)
-    in
-    let print ppf s = Format.pp_print_string ppf (Drtp.Routing.scheme_name s) in
-    Arg.(
-      value
-      & opt (conv (parse, print)) Drtp.Routing.Dlsr
-      & info [ "scheme" ] ~docv:"SCHEME"
-          ~doc:"Link-state scheme under test: d-lsr, p-lsr or spf.")
-  in
   let ks_t =
     Arg.(
       value
@@ -1219,26 +1086,20 @@ let srlg_cmd =
              paper's independent single-link failures).")
   in
   let mtbf_t =
-    Arg.(
-      value & opt float 300.0
-      & info [ "mtbf" ] ~docv:"S"
-          ~doc:"Mean time between correlated failure events (seconds).")
+    seconds_t "mtbf" 300.0
+      ~doc:"Mean time between correlated failure events (seconds)."
   in
   let mttr_t =
-    Arg.(
-      value & opt float 60.0
-      & info [ "mttr" ] ~docv:"S" ~doc:"Mean group outage duration (seconds).")
+    seconds_t "mttr" 60.0 ~doc:"Mean group outage duration (seconds)."
   in
   let baseline_t =
-    Arg.(
-      value & flag
-      & info [ "baseline" ]
-          ~doc:
-            "Route with SRLG-blind backup sets \
-             ($(b,link_state_route_fn ~backup_count:k)) instead of \
-             SRLG-disjoint chains.  At $(b,--sizes) 1 this must be \
-             byte-identical to the chain router — the singleton \
-             equivalence CI gate.")
+    flag_t "baseline"
+      ~doc:
+        "Route with SRLG-blind backup sets \
+         ($(b,link_state_route_fn ~backup_count:k)) instead of \
+         SRLG-disjoint chains.  At $(b,--sizes) 1 this must be \
+         byte-identical to the chain router — the singleton \
+         equivalence CI gate."
   in
   let regional_t =
     Arg.(
@@ -1260,11 +1121,10 @@ let srlg_cmd =
              random overlapping groups of $(b,--sizes) edges each \
              (edges may belong to several risk groups).")
   in
-  let run () jobs degree traffic lambda scheme ks sizes mtbf mttr regional
-      overlay baseline quick seed =
-    let cfg = config_of ~quick ~seed in
+  let run { cfg; jobs; seed; _ } degree traffic lambda scheme ks sizes mtbf
+      mttr regional overlay baseline =
     let rows =
-      with_pool jobs (fun pool ->
+      Pool.with_pool ~jobs (fun pool ->
           Dr_exp.Resilience_exp.run ~pool cfg ~avg_degree:degree ~traffic
             ~lambda ~scheme ~ks ~mean_sizes:sizes ~mtbf ~mttr ?regional
             ?overlay ~baseline
@@ -1272,33 +1132,21 @@ let srlg_cmd =
     in
     Format.printf "%a@." Dr_exp.Resilience_exp.pp rows
   in
-  Cmd.v
-    (Cmd.info "srlg"
-       ~doc:
-         "Correlated-failure sweep: k-resilient backup chains over random \
-          shared-risk link groups, failing whole groups at a time.  Shows \
-          the k=1 dependability degradation under correlated failures and \
-          how much deeper SRLG-disjoint chains win back, plus the \
-          acceptance-ratio cost of the generalised spare rule.")
+  cmd "srlg"
+    ~doc:
+      "Correlated-failure sweep: k-resilient backup chains over random \
+       shared-risk link groups, failing whole groups at a time.  Shows the \
+       k=1 dependability degradation under correlated failures and how much \
+       deeper SRLG-disjoint chains win back, plus the acceptance-ratio cost \
+       of the generalised spare rule."
     Term.(
-      const run $ obs_t $ jobs_t $ degree_t $ traffic_t
-      $ lambda_t ~default:0.5 $ scheme_t $ ks_t $ sizes_t $ mtbf_t $ mttr_t
-      $ regional_t $ overlay_t $ baseline_t $ quick_t $ seed_t)
+      const run $ common_t $ degree_t $ traffic_t $ lambda_t ~default:0.5
+      $ under_test_t $ ks_t $ sizes_t $ mtbf_t $ mttr_t $ regional_t
+      $ overlay_t $ baseline_t)
 
 (* ---- shard: sharded control plane, convergence-lag sweep ----------------- *)
 
 let shard_cmd =
-  let scheme_t =
-    let parse s =
-      Result.map_error (fun e -> `Msg e) (Drtp.Routing.scheme_of_string s)
-    in
-    let print ppf s = Format.pp_print_string ppf (Drtp.Routing.scheme_name s) in
-    Arg.(
-      value
-      & opt (conv (parse, print)) Drtp.Routing.Dlsr
-      & info [ "scheme" ] ~docv:"SCHEME"
-          ~doc:"Link-state scheme under test: d-lsr, p-lsr or spf.")
-  in
   let shards_t =
     Arg.(
       value
@@ -1325,51 +1173,35 @@ let shard_cmd =
           ~doc:"LSA/setup/ACK loss probabilities to sweep (comma-separated).")
   in
   let refresh_t =
-    Arg.(
-      value & opt float 30.0
-      & info [ "refresh" ] ~docv:"S"
-          ~doc:
-            "Periodic full re-advertisement period (seconds); 0 disables, \
-             leaving loss repair to triggered traffic.")
+    seconds_t "refresh" 30.0
+      ~doc:
+        "Periodic full re-advertisement period (seconds); 0 disables, \
+         leaving loss repair to triggered traffic."
   in
   let flood_delay_t =
-    Arg.(
-      value & opt float 0.050
-      & info [ "flood-delay" ] ~docv:"S"
-          ~doc:"LSA origination-to-delivery latency (seconds).")
+    seconds_t "flood-delay" 0.050
+      ~doc:"LSA origination-to-delivery latency (seconds)."
   in
   let hop_delay_t =
-    Arg.(
-      value & opt float 0.001
-      & info [ "hop-delay" ] ~docv:"S"
-          ~doc:"Per-hop setup/teardown latency (seconds).")
+    seconds_t "hop-delay" 0.001 ~doc:"Per-hop setup/teardown latency (seconds)."
   in
   let retries_t =
-    Arg.(
-      value & opt int 1
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Crankback budget per connection after a stale-view rejection.")
+    int_t "retries" 1
+      ~doc:"Crankback budget per connection after a stale-view rejection."
   in
-  let backups_t =
-    Arg.(
-      value & opt int 1
-      & info [ "backups" ] ~docv:"N" ~doc:"Backups per DR-connection.")
-  in
+  let backups_t = int_t "backups" 1 ~doc:"Backups per DR-connection." in
   let baseline_t =
-    Arg.(
-      value & flag
-      & info [ "baseline" ]
-          ~doc:
-            "Drive the same workload and sampling through the centralised \
-             $(b,Drtp.Manager) instead of the sharded control plane.  A \
-             sweep at $(b,--shards) 1 must be byte-identical to this — \
-             the single-shard equivalence CI gate.")
+    flag_t "baseline"
+      ~doc:
+        "Drive the same workload and sampling through the centralised \
+         $(b,Drtp.Manager) instead of the sharded control plane.  A \
+         sweep at $(b,--shards) 1 must be byte-identical to this — \
+         the single-shard equivalence CI gate."
   in
-  let run () jobs degree traffic lambda scheme shards intervals losses refresh
-      flood_delay hop_delay retries backups baseline quick seed =
-    let cfg = config_of ~quick ~seed in
+  let run { cfg; jobs; seed; _ } degree traffic lambda scheme shards
+      intervals losses refresh flood_delay hop_delay retries backups baseline =
     let rows =
-      with_pool jobs (fun pool ->
+      Pool.with_pool ~jobs (fun pool ->
           Dr_exp.Shard_exp.run ~pool cfg ~avg_degree:degree ~traffic ~lambda
             ~scheme ~backup_count:backups ~parts_list:shards ~intervals ~losses
             ~lsa_refresh:refresh ~flood_delay ~hop_delay ~max_retries:retries
@@ -1378,20 +1210,17 @@ let shard_cmd =
     in
     Format.printf "%a@." Dr_exp.Shard_exp.pp rows
   in
-  Cmd.v
-    (Cmd.info "shard"
-       ~doc:
-         "Sharded-control-plane sweep: partition the topology into region \
-          shards exchanging sequence-numbered link-state advertisements \
-          over lossy channels, and measure convergence lag, advertisement \
-          age at decision time, and how often stale inter-shard routing \
-          diverges from the omniscient choice, over a shard-count x \
-          LSA-interval x loss grid.")
+  cmd "shard"
+    ~doc:
+      "Sharded-control-plane sweep: partition the topology into region shards \
+       exchanging sequence-numbered link-state advertisements over lossy \
+       channels, and measure convergence lag, advertisement age at decision \
+       time, and how often stale inter-shard routing diverges from the \
+       omniscient choice, over a shard-count x LSA-interval x loss grid."
     Term.(
-      const run $ obs_t $ jobs_t $ degree_t $ traffic_t
-      $ lambda_t ~default:0.5 $ scheme_t $ shards_t $ intervals_t $ losses_t
-      $ refresh_t $ flood_delay_t $ hop_delay_t $ retries_t $ backups_t
-      $ baseline_t $ quick_t $ seed_t)
+      const run $ common_t $ degree_t $ traffic_t $ lambda_t ~default:0.5
+      $ under_test_t $ shards_t $ intervals_t $ losses_t $ refresh_t
+      $ flood_delay_t $ hop_delay_t $ retries_t $ backups_t $ baseline_t)
 
 (* ---- inspect: summarise a journal file ---------------------------------- *)
 
@@ -1403,19 +1232,13 @@ let inspect_cmd =
       & info [] ~docv:"JOURNAL" ~doc:"Journal JSONL file to summarise.")
   in
   let check_t =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Schema-validate only: parse every line and exit 1 if any line \
-             is malformed or of unknown event kind.")
+    flag_t "check"
+      ~doc:
+        "Schema-validate only: parse every line and exit 1 if any line \
+         is malformed or of unknown event kind."
   in
-  let top_t =
-    Arg.(
-      value & opt int 10
-      & info [ "top" ] ~docv:"N" ~doc:"Rows per ranking table.")
-  in
-  let run () file check top =
+  let top_t = int_t "top" 10 ~doc:"Rows per ranking table." in
+  let run file check top =
     let num fields name =
       match List.assoc_opt name fields with
       | Some (Journal.Num v) -> Some v
@@ -1539,9 +1362,7 @@ let inspect_cmd =
               | _ -> ()))
     in
     match folded with
-    | Error msg ->
-        Printf.eprintf "drtp_sim: cannot read %s (%s)\n" file msg;
-        exit 2
+    | Error msg -> usage_error "cannot read %s (%s)" file msg
     | Ok () ->
         if check then begin
           Printf.printf "%s: %d lines, %d errors\n" file !lines !error_count;
@@ -1639,80 +1460,6 @@ let inspect_cmd =
                   rows);
             Format.printf "@]@."
           end;
-          (* Critical-path quantiles from the causal spans, when the
-             journal carries any: per root phase, the end-to-end tail and
-             which child phase dominated it. *)
-          (if Hashtbl.mem kind_counts "span-open" then
-             match Dr_trace.Trace.of_file file with
-             | Error _ -> ()
-             | Ok t ->
-                 let module Tr = Dr_trace.Trace in
-                 let groups = Hashtbl.create 8 in
-                 let order = ref [] in
-                 List.iter
-                   (fun tr ->
-                     if Tr.complete tr then
-                       match Tr.root tr with
-                       | None -> ()
-                       | Some r ->
-                           let key = r.Tr.sp_phase in
-                           if not (Hashtbl.mem groups key) then begin
-                             order := key :: !order;
-                             Hashtbl.replace groups key []
-                           end;
-                           Hashtbl.replace groups key
-                             (tr :: Hashtbl.find groups key))
-                   (Tr.traces t);
-                 if !order <> [] then begin
-                   Format.printf
-                     "@.@[<v># critical paths (complete traces; durations \
-                      in s)@,";
-                   Format.printf "%-14s %8s %10s %10s %10s  %s@," "root"
-                     "traces" "p50" "p95" "p99" "dominant";
-                   List.iter
-                     (fun key ->
-                       let trs = Hashtbl.find groups key in
-                       let durs =
-                         Array.of_list
-                           (List.filter_map
-                              (fun tr ->
-                                Option.map
-                                  (fun r -> r.Tr.sp_dur)
-                                  (Tr.root tr))
-                              trs)
-                       in
-                       let q p = Dr_stats.Histogram.quantile durs p in
-                       (* Most frequent dominant child phase across the
-                          group's critical paths. *)
-                       let dom = Hashtbl.create 8 in
-                       List.iter
-                         (fun tr ->
-                           match Tr.critical_path tr with
-                           | _ :: step :: _ ->
-                               Hashtbl.replace dom step.Tr.sp_phase
-                                 (1
-                                 + Option.value
-                                     (Hashtbl.find_opt dom step.Tr.sp_phase)
-                                     ~default:0)
-                           | _ -> ())
-                         trs;
-                       let dominant =
-                         match
-                           List.sort compare
-                             (Hashtbl.fold
-                                (fun p c acc -> (-c, p) :: acc)
-                                dom [])
-                         with
-                         | (neg_c, p) :: _ ->
-                             Printf.sprintf "%s (%d)" p (-neg_c)
-                         | [] -> "-"
-                       in
-                       Format.printf "%-14s %8d %10.6f %10.6f %10.6f  %s@,"
-                         key (Array.length durs) (q 0.5) (q 0.95) (q 0.99)
-                         dominant)
-                     (List.rev !order);
-                   Format.printf "@]@."
-                 end);
           match
             List.sort compare
               (Hashtbl.fold
@@ -1733,13 +1480,12 @@ let inspect_cmd =
               Format.printf "@]@."
         end
   in
-  Cmd.v
-    (Cmd.info "inspect"
-       ~doc:
-         "Summarise a flight-recorder journal (written with $(b,--journal)): \
-          event histogram, top contended links, spare-capacity high-water \
-          marks and the recovery-latency phase breakdown.")
-    Term.(const run $ obs_t $ file_t $ check_t $ top_t)
+  cmd "inspect"
+    ~doc:
+      "Summarise a flight-recorder journal (written with $(b,--journal)): \
+       event histogram, top contended links, spare-capacity high-water marks \
+       and the recovery-latency phase breakdown."
+    Term.(const run $ file_t $ check_t $ top_t)
 
 (* ---- trace: causal-trace assembly and critical-path report -------------- *)
 
@@ -1754,49 +1500,32 @@ let trace_cmd =
              span-open/span-close records.")
   in
   let perfetto_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "perfetto" ] ~docv:"FILE"
-          ~doc:
-            "Also write the traces as Chrome trace-event JSON to $(docv) — \
-             load in ui.perfetto.dev to inspect tails visually.")
+    output_t "perfetto"
+      ~doc:
+        "Also write the traces as Chrome trace-event JSON to $(docv) — load \
+         in ui.perfetto.dev to inspect tails visually."
   in
   let check_t =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Validate trace structure only: duplicate spans, unclosed \
-             spans, dangling parent/cause edges, cycles, multi-root \
-             traces.  Exit 1 on structural errors; ring-overwrite \
-             incompleteness is reported as a warning, not an error.")
+    flag_t "check"
+      ~doc:
+        "Validate trace structure only: duplicate spans, unclosed \
+         spans, dangling parent/cause edges, cycles, multi-root \
+         traces.  Exit 1 on structural errors; ring-overwrite \
+         incompleteness is reported as a warning, not an error."
   in
   let top_t =
-    Arg.(
-      value & opt int 5
-      & info [ "top" ] ~docv:"N"
-          ~doc:"Slowest traces whose critical paths are spelled out.")
+    int_t "top" 5 ~doc:"Slowest traces whose critical paths are spelled out."
   in
-  let run () file perfetto check top =
+  let run file perfetto check top =
     let module Tr = Dr_trace.Trace in
     match Tr.of_file file with
-    | Error msg ->
-        Printf.eprintf "drtp_sim: cannot read %s (%s)\n" file msg;
-        exit 2
+    | Error msg -> usage_error "cannot read %s (%s)" file msg
     | Ok t ->
-        (match perfetto with
-        | None -> ()
-        | Some out ->
-            let oc =
-              try open_out out
-              with Sys_error msg ->
-                Printf.eprintf "drtp_sim: cannot open perfetto file (%s)\n"
-                  msg;
-                exit 2
-            in
+        Option.iter
+          (fun (_, oc) ->
             Tr.write_perfetto t oc;
-            close_out oc);
+            close_out oc)
+          perfetto;
         if check then begin
           let issues = Tr.check t in
           let errors = List.filter Tr.is_error issues in
@@ -1810,15 +1539,14 @@ let trace_cmd =
         end
         else Tr.report ~top Format.std_formatter t
   in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Assemble the causal traces recorded in a flight-recorder journal \
-          and report sim-time critical paths: per-phase attribution tables \
-          with p50/p95/p99 quantiles, the slowest traces spelled out, \
-          optional Perfetto (Chrome trace-event) export, and a structural \
-          validation mode ($(b,--check)).")
-    Term.(const run $ obs_t $ file_t $ perfetto_t $ check_t $ top_t)
+  cmd "trace"
+    ~doc:
+      "Assemble the causal traces recorded in a flight-recorder journal and \
+       report sim-time critical paths: per-phase attribution tables with \
+       p50/p95/p99 quantiles, the slowest traces spelled out, optional \
+       Perfetto (Chrome trace-event) export, and a structural validation mode \
+       ($(b,--check))."
+    Term.(const run $ file_t $ perfetto_t $ check_t $ top_t)
 
 let default_info =
   Cmd.info "drtp_sim" ~version:"1.0.0"
@@ -1843,13 +1571,10 @@ let () =
            src dst messages);
   let cmds =
     [
-      table1_cmd; fig4_cmd; fig5_cmd; details_cmd; claims_cmd; ablate_mux_cmd;
-      ablate_flood_cmd; ablate_spf_cmd; ablate_backups_cmd; ablate_qos_cmd;
-      ablate_classes_cmd; replicate_cmd; staleness_cmd; availability_cmd;
-      overhead_cmd;
+      table1_cmd; fig4_cmd; fig5_cmd; details_cmd; claims_cmd; ablate_cmd;
+      replicate_cmd; staleness_cmd; availability_cmd; overhead_cmd;
       recovery_cmd; chaos_cmd; srlg_cmd; shard_cmd; topo_cmd; scenario_cmd;
-      replay_cmd;
-      explain_cmd; serve_cmd; recover_cmd; inspect_cmd; trace_cmd;
+      replay_cmd; explain_cmd; serve_cmd; recover_cmd; inspect_cmd; trace_cmd;
       check_routing_cmd;
     ]
   in

@@ -45,6 +45,13 @@ let lambdas_for_degree degree =
   if degree < 3.5 then [ 0.2; 0.3; 0.4; 0.5; 0.6; 0.7 ]
   else [ 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 ]
 
+let quick cfg = { cfg with warmup = 2400.0; horizon = 4800.0 }
+
+let lambdas ~quick degree =
+  match lambdas_for_degree degree with
+  | a :: _ :: c :: _ when quick -> [ a; c ]
+  | all -> all
+
 let make_graph cfg ~avg_degree =
   (* Mix the degree into the seed so E=3 and E=4 differ but each is
      reproducible. *)

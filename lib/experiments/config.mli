@@ -36,6 +36,12 @@ val lambdas_for_degree : float -> float list
 (** The λ sweep the paper plots: 0.2–0.7 for E = 3 (Fig. 4a/5a),
     0.4–1.0 for E = 4 (Fig. 4b/5b). *)
 
+val quick : t -> t
+(** Quick (smoke-test) mode: warmup 2400 s, arrival horizon 4800 s. *)
+
+val lambdas : quick:bool -> float -> float list
+(** [lambdas_for_degree], cut to its first and third points when [quick]. *)
+
 val make_graph : t -> avg_degree:float -> Dr_topo.Graph.t
 (** The Waxman topology for this configuration (deterministic in
     [topology_seed] and the degree). *)
