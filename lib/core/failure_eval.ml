@@ -24,49 +24,53 @@ let merge_results a b =
 
 let empty_result = { attempts = 0; successes = 0; edges_evaluated = 0; per_edge = [] }
 
-let evaluate_edge ?(spare_only = true) state ~edge =
-  let resources = Net_state.resources state in
-  let victims = Net_state.primaries_crossing_edge state edge in
-  let affected = List.length victims in
-  if affected = 0 then { edge; affected = 0; activated = 0 }
-  else begin
-    (* Per-link budget of simultaneous activation grants, in bandwidth
-       units.  Only links appearing in some victim's backup matter; keep
-       the budgets sparse. *)
-    let budget = Hashtbl.create 32 in
-    let budget_of l =
-      match Hashtbl.find_opt budget l with
-      | Some b -> b
-      | None ->
-          let b =
-            Resources.spare_bw resources l
-            + if spare_only then 0 else Resources.free resources l
-          in
-          Hashtbl.replace budget l b;
-          b
-    in
-    let activated = ref 0 in
-    (* Try a victim's backups in priority order; the first one that avoids
-       the failed edge and finds spare on every link wins. *)
-    let try_backup conn b =
-      if Path.crosses_edge b edge then false
-      else begin
+(* The one activation walk behind every evaluation: [edges] fail at once
+   and the [victims] (in connection-id order) try their backups in priority
+   order.  A backup qualifies if it avoids every failed edge and finds
+   [bw] of budget on each of its links — spare, plus free unless
+   [spare_only] — and the first that qualifies takes that budget.  Returns
+   how many victims activated. *)
+let activations ~spare_only state ~edges victims =
+  match victims with
+  | [] -> 0
+  | _ ->
+      let resources = Net_state.resources state in
+      (* Per-link budget of simultaneous activation grants, in bandwidth
+         units.  Only links on some victim's backup matter; keep the
+         budgets sparse. *)
+      let budget = Hashtbl.create 32 in
+      let budget_of l =
+        match Hashtbl.find_opt budget l with
+        | Some b -> b
+        | None ->
+            let b =
+              Resources.spare_bw resources l
+              + if spare_only then 0 else Resources.free resources l
+            in
+            Hashtbl.replace budget l b;
+            b
+      in
+      let try_backup bw b =
         let links = Path.links b in
-        if List.for_all (fun l -> budget_of l >= conn.Net_state.bw) links then begin
-          List.iter
-            (fun l -> Hashtbl.replace budget l (budget_of l - conn.Net_state.bw))
-            links;
+        if Path.crosses_any_edge b edges then false
+        else if List.for_all (fun l -> budget_of l >= bw) links then begin
+          List.iter (fun l -> Hashtbl.replace budget l (budget_of l - bw)) links;
           true
         end
         else false
-      end
-    in
-    List.iter
-      (fun (conn : Net_state.conn) ->
-        if List.exists (try_backup conn) conn.backups then incr activated)
-      victims;
-    { edge; affected; activated = !activated }
-  end
+      in
+      List.fold_left
+        (fun n (conn : Net_state.conn) ->
+          if List.exists (try_backup conn.bw) conn.backups then n + 1 else n)
+        0 victims
+
+let evaluate_edges ?(spare_only = true) state ~edges =
+  let victims = Net_state.primaries_crossing_edges state ~edges in
+  (List.length victims, activations ~spare_only state ~edges victims)
+
+let evaluate_edge ?spare_only state ~edge =
+  let affected, activated = evaluate_edges ?spare_only state ~edges:[ edge ] in
+  { edge; affected; activated }
 
 type node_outcome = {
   node : int;
@@ -76,63 +80,22 @@ type node_outcome = {
 }
 
 let evaluate_node ?(spare_only = true) state ~node =
-  let graph = Net_state.graph state in
-  let resources = Net_state.resources state in
-  let failed_edges =
-    Array.to_list (Graph.out_links graph node) |> List.map Graph.edge_of_link
+  let edges =
+    Array.to_list (Graph.out_links (Net_state.graph state) node)
+    |> List.map Graph.edge_of_link
   in
-  let crosses_any p = List.exists (fun e -> Path.crosses_edge p e) failed_edges in
-  (* Victims: distinct connections whose primary crosses any incident
-     edge. *)
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      List.iter
-        (fun (c : Net_state.conn) -> Hashtbl.replace seen c.id c)
-        (Net_state.primaries_crossing_edge state e))
-    failed_edges;
-  let victims =
-    Hashtbl.fold (fun _ c acc -> c :: acc) seen []
-    |> List.sort (fun (a : Net_state.conn) b -> compare a.id b.id)
+  (* Connections that start or end at the node cannot be saved by any
+     backup; only transit victims try theirs. *)
+  let endpoint, transit =
+    List.partition
+      (fun (c : Net_state.conn) -> c.src = node || c.dst = node)
+      (Net_state.primaries_crossing_edges state ~edges)
   in
-  let budget = Hashtbl.create 32 in
-  let budget_of l =
-    match Hashtbl.find_opt budget l with
-    | Some b -> b
-    | None ->
-        let b =
-          Resources.spare_bw resources l
-          + if spare_only then 0 else Resources.free resources l
-        in
-        Hashtbl.replace budget l b;
-        b
-  in
-  let transit_affected = ref 0 and transit_activated = ref 0 in
-  let endpoint_lost = ref 0 in
-  let try_backup (conn : Net_state.conn) b =
-    if crosses_any b then false
-    else begin
-      let links = Path.links b in
-      if List.for_all (fun l -> budget_of l >= conn.bw) links then begin
-        List.iter (fun l -> Hashtbl.replace budget l (budget_of l - conn.bw)) links;
-        true
-      end
-      else false
-    end
-  in
-  List.iter
-    (fun (conn : Net_state.conn) ->
-      if conn.src = node || conn.dst = node then incr endpoint_lost
-      else begin
-        incr transit_affected;
-        if List.exists (try_backup conn) conn.backups then incr transit_activated
-      end)
-    victims;
   {
     node;
-    transit_affected = !transit_affected;
-    transit_activated = !transit_activated;
-    endpoint_lost = !endpoint_lost;
+    transit_affected = List.length transit;
+    transit_activated = activations ~spare_only state ~edges transit;
+    endpoint_lost = List.length endpoint;
   }
 
 let evaluate_nodes ?spare_only state =
@@ -155,49 +118,9 @@ let evaluate_nodes ?spare_only state =
 
 type pair_outcome = { edges : int * int; affected : int; activated : int }
 
-let evaluate_edge_pair ?(spare_only = true) state ~edges:(e1, e2) =
-  let resources = Net_state.resources state in
-  let crosses p = Path.crosses_edge p e1 || Path.crosses_edge p e2 in
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      List.iter
-        (fun (c : Net_state.conn) -> Hashtbl.replace seen c.id c)
-        (Net_state.primaries_crossing_edge state e))
-    [ e1; e2 ];
-  let victims =
-    Hashtbl.fold (fun _ c acc -> c :: acc) seen []
-    |> List.sort (fun (a : Net_state.conn) b -> compare a.id b.id)
-  in
-  let budget = Hashtbl.create 32 in
-  let budget_of l =
-    match Hashtbl.find_opt budget l with
-    | Some b -> b
-    | None ->
-        let b =
-          Resources.spare_bw resources l
-          + if spare_only then 0 else Resources.free resources l
-        in
-        Hashtbl.replace budget l b;
-        b
-  in
-  let activated = ref 0 in
-  let try_backup (conn : Net_state.conn) b =
-    if crosses b then false
-    else begin
-      let links = Path.links b in
-      if List.for_all (fun l -> budget_of l >= conn.bw) links then begin
-        List.iter (fun l -> Hashtbl.replace budget l (budget_of l - conn.bw)) links;
-        true
-      end
-      else false
-    end
-  in
-  List.iter
-    (fun (conn : Net_state.conn) ->
-      if List.exists (try_backup conn) conn.backups then incr activated)
-    victims;
-  { edges = (e1, e2); affected = List.length victims; activated = !activated }
+let evaluate_edge_pair ?spare_only state ~edges:(e1, e2) =
+  let affected, activated = evaluate_edges ?spare_only state ~edges:[ e1; e2 ] in
+  { edges = (e1, e2); affected; activated }
 
 let evaluate_double ?spare_only ?(samples = 200) ?(seed = 1) state =
   let graph = Net_state.graph state in
@@ -240,51 +163,7 @@ let evaluate ?spare_only state =
     per_edge = List.rev !per_edge;
   }
 
-(* ---- correlated (SRLG / regional) failures ------------------------------- *)
-
-(* Shared core: fail a whole edge set at once.  Victims are primaries
-   crossing any member; a backup must avoid every member and win its
-   bandwidth on all links, greedily in connection-id order — the same
-   contention model as the single-edge evaluation. *)
-let evaluate_edges ?(spare_only = true) state ~edges =
-  let resources = Net_state.resources state in
-  let in_set = Hashtbl.create 8 in
-  List.iter (fun e -> Hashtbl.replace in_set e ()) edges;
-  let crosses_any p =
-    List.exists
-      (fun l -> Hashtbl.mem in_set (Graph.edge_of_link l))
-      (Path.links p)
-  in
-  let victims = Net_state.primaries_crossing_edges state ~edges in
-  let budget = Hashtbl.create 32 in
-  let budget_of l =
-    match Hashtbl.find_opt budget l with
-    | Some b -> b
-    | None ->
-        let b =
-          Resources.spare_bw resources l
-          + if spare_only then 0 else Resources.free resources l
-        in
-        Hashtbl.replace budget l b;
-        b
-  in
-  let activated = ref 0 in
-  let try_backup (conn : Net_state.conn) b =
-    if crosses_any b then false
-    else begin
-      let links = Path.links b in
-      if List.for_all (fun l -> budget_of l >= conn.bw) links then begin
-        List.iter (fun l -> Hashtbl.replace budget l (budget_of l - conn.bw)) links;
-        true
-      end
-      else false
-    end
-  in
-  List.iter
-    (fun (conn : Net_state.conn) ->
-      if List.exists (try_backup conn) conn.backups then incr activated)
-    victims;
-  (List.length victims, !activated)
+(* ---- correlated (SRLG) failures ---------------------------------------- *)
 
 type group_outcome = { group : int; affected : int; activated : int }
 
@@ -311,44 +190,3 @@ let evaluate_srlg ?spare_only state =
     edges_evaluated = !evaluated;
     per_edge = [];
   }
-
-let evaluate_regional ?spare_only ?(samples = 200) ?(seed = 1) state ~radius =
-  if radius <= 0.0 then
-    invalid_arg "Failure_eval.evaluate_regional: radius must be positive";
-  let graph = Net_state.graph state in
-  match Graph.coords graph with
-  | None -> invalid_arg "Failure_eval.evaluate_regional: graph has no coordinates"
-  | Some coords ->
-      let edge_count = Graph.edge_count graph in
-      let midpoints =
-        Array.init edge_count (fun e ->
-            let u, v = Graph.edge_endpoints graph e in
-            let ux, uy = coords.(u) and vx, vy = coords.(v) in
-            ((ux +. vx) /. 2.0, (uy +. vy) /. 2.0))
-      in
-      let rng = Dr_rng.Splitmix64.create seed in
-      let attempts = ref 0 and successes = ref 0 and evaluated = ref 0 in
-      for _ = 1 to samples do
-        let cx = Dr_rng.Splitmix64.float rng 1.0
-        and cy = Dr_rng.Splitmix64.float rng 1.0 in
-        let hit = ref [] in
-        for e = edge_count - 1 downto 0 do
-          let mx, my = midpoints.(e) in
-          let dx = mx -. cx and dy = my -. cy in
-          if (dx *. dx) +. (dy *. dy) <= radius *. radius then hit := e :: !hit
-        done;
-        if !hit <> [] then begin
-          let affected, activated = evaluate_edges ?spare_only state ~edges:!hit in
-          if affected > 0 then begin
-            incr evaluated;
-            attempts := !attempts + affected;
-            successes := !successes + activated
-          end
-        end
-      done;
-      {
-        attempts = !attempts;
-        successes = !successes;
-        edges_evaluated = !evaluated;
-        per_edge = [];
-      }

@@ -18,7 +18,13 @@
       schemes try to design away.
 
     The evaluation is hypothetical: it never mutates the state, so it can
-    be run on periodic snapshots during a scenario replay. *)
+    be run on periodic snapshots during a scenario replay.
+
+    Every evaluation below asks the same question of a different failed
+    edge set — one edge, an edge pair, a node's incident edges, an SRLG
+    group or an arbitrary set — and answers it with the one greedy walk
+    just described: a backup qualifies only if it avoids {e every} failed
+    edge. *)
 
 type edge_outcome = {
   edge : int;
@@ -74,6 +80,8 @@ type node_outcome = {
 }
 
 val evaluate_node : ?spare_only:bool -> Net_state.t -> node:int -> node_outcome
+(** Fail the node's incident edges at once.  Transit victims go through
+    the walk of {!evaluate_edges}; endpoint victims are only counted. *)
 
 val evaluate_nodes : ?spare_only:bool -> Net_state.t -> result
 (** Aggregate over all nodes with at least one affected transit primary
@@ -117,7 +125,8 @@ val evaluate_edges :
 (** Fail a whole edge set at once; returns [(affected, activated)].
     Victims are primaries crossing any member (in connection-id order); a
     backup must avoid every member and win its bandwidth on all its
-    links. *)
+    links.  [evaluate_edges ~edges:[e]] counts what {!evaluate_edge}
+    does. *)
 
 type group_outcome = { group : int; affected : int; activated : int }
 
@@ -128,15 +137,3 @@ val evaluate_group :
 val evaluate_srlg : ?spare_only:bool -> Net_state.t -> result
 (** Exact sweep over every group of the state's SRLG model ([per_edge]
     left empty). *)
-
-val evaluate_regional :
-  ?spare_only:bool ->
-  ?samples:int ->
-  ?seed:int ->
-  Net_state.t ->
-  radius:float ->
-  result
-(** Monte-Carlo regional events: [samples] (default 200) random disc
-    centers in the unit square, each failing every edge whose midpoint
-    falls within [radius].  Raises [Invalid_argument] when the graph has
-    no coordinates or [radius <= 0]. *)

@@ -299,23 +299,33 @@ let backup_admissible t ~bw ~primary ~earlier_backups backup =
       >= bw * (1 + own_primary + own_backups))
     (Path.links backup)
 
+(* The two checks {!admit} raises from: every primary link has free
+   bandwidth, and each backup fits given the primary and the backups before
+   it. *)
+let rec primary_admissible t ~bw = function
+  | [] -> true
+  | l :: rest ->
+      Resources.primary_feasible t.resources ~link:l ~bw
+      && primary_admissible t ~bw rest
+
+let rec backups_admissible t ~bw ~primary earlier = function
+  | [] -> true
+  | b :: rest ->
+      backup_admissible t ~bw ~primary ~earlier_backups:earlier b
+      && backups_admissible t ~bw ~primary (b :: earlier) rest
+
+let admissible t ~bw ~primary ~backups =
+  primary_admissible t ~bw (Path.links primary)
+  && backups_admissible t ~bw ~primary [] backups
+
 let admit t ~id ~bw ~primary ~backups =
   if Hashtbl.mem t.conns id then invalid_arg "Net_state.admit: connection id in use";
   if bw <= 0 then invalid_arg "Net_state.admit: bandwidth must be positive";
   let primary_links = Path.links primary in
-  List.iter
-    (fun l ->
-      if not (Resources.primary_feasible t.resources ~link:l ~bw) then
-        invalid_arg "Net_state.admit: primary link lacks free bandwidth")
-    primary_links;
-  let rec check_backups earlier = function
-    | [] -> ()
-    | b :: rest ->
-        if not (backup_admissible t ~bw ~primary ~earlier_backups:earlier b) then
-          invalid_arg "Net_state.admit: backup link cannot host backup";
-        check_backups (b :: earlier) rest
-  in
-  check_backups [] backups;
+  if not (primary_admissible t ~bw primary_links) then
+    invalid_arg "Net_state.admit: primary link lacks free bandwidth";
+  if not (backups_admissible t ~bw ~primary [] backups) then
+    invalid_arg "Net_state.admit: backup link cannot host backup";
   List.iter (fun l -> reserve_primary t l bw) primary_links;
   let conn =
     { id; src = Path.src primary; dst = Path.dst primary; bw; primary; backups; degraded = false }
@@ -340,16 +350,16 @@ let primaries_crossing_edge t e =
   |> List.sort (fun a b -> compare a.id b.id)
 
 let primaries_crossing_edges t ~edges =
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      Hashtbl.iter (fun id c -> Hashtbl.replace seen id c) t.edge_primaries.(e))
-    edges;
-  Hashtbl.fold (fun _ c acc -> c :: acc) seen []
-  |> List.sort (fun a b -> compare a.id b.id)
-
-let primaries_crossing_group t ~group =
-  primaries_crossing_edges t ~edges:(Srlg.edges_of_group t.srlg group)
+  match edges with
+  | [ e ] -> primaries_crossing_edge t e
+  | _ ->
+      let seen = Hashtbl.create 16 in
+      List.iter
+        (fun e ->
+          Hashtbl.iter (fun id c -> Hashtbl.replace seen id c) t.edge_primaries.(e))
+        edges;
+      Hashtbl.fold (fun _ c acc -> c :: acc) seen []
+      |> List.sort (fun a b -> compare a.id b.id)
 
 let remove_primary_index t conn =
   List.iter
@@ -500,29 +510,6 @@ let reroute_primary t ~id ~primary =
           end)
         backups
 
-let replace_backups t ~id ~backups =
-  match Hashtbl.find_opt t.conns id with
-  | None -> invalid_arg "Net_state.replace_backups: unknown connection"
-  | Some conn ->
-      save_fields t conn;
-      let primary_edges = edge_lset_of_path conn.primary in
-      unregister_all_backups t conn;
-      conn.backups <- [];
-      let rec check earlier = function
-        | [] -> ()
-        | b :: rest ->
-            if not (backup_admissible t ~bw:conn.bw ~primary:conn.primary ~earlier_backups:earlier b)
-            then invalid_arg "Net_state.replace_backups: backup link cannot host backup";
-            check (b :: earlier) rest
-      in
-      check [] backups;
-      List.iter
-        (fun b ->
-          if not (register_backup t ~bw:conn.bw ~primary_edges ~backup_path:b) then
-            conn.degraded <- true)
-        backups;
-      conn.backups <- backups
-
 let replace_backups_drop t ~id ~backups =
   match Hashtbl.find_opt t.conns id with
   | None -> invalid_arg "Net_state.replace_backups_drop: unknown connection"
@@ -531,11 +518,11 @@ let replace_backups_drop t ~id ~backups =
       let primary_edges = edge_lset_of_path conn.primary in
       unregister_all_backups t conn;
       conn.backups <- [];
-      (* Same sequential admissibility walk as {!replace_backups}, but an
-         infeasible member is dropped instead of raising: under correlated
-         failures, earlier victims' activations may have converted spare to
-         prime on a surviving backup's links, and losing that member is the
-         graceful outcome (the reprotection queue can retry later). *)
+      (* The sequential admissibility walk of {!admit}, but an infeasible
+         member is dropped instead of raising: earlier victims' activations
+         may have converted spare to prime on a surviving backup's links,
+         and losing that member is the graceful outcome (the reprotection
+         queue can retry later). *)
       let kept =
         List.rev
           (List.fold_left

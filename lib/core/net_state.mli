@@ -38,7 +38,7 @@ type conn = {
           {!reroute_primary}. *)
   mutable backups : Dr_topo.Path.t list;
       (** in priority order; mutated by {!promote_backup},
-          {!reroute_primary} and {!replace_backups}. *)
+          {!reroute_primary} and {!replace_backups_drop}. *)
   mutable degraded : bool;
       (** true if, at some point while registered, a link of some backup
           could not reserve the spare the policy asked for (conflicting
@@ -122,6 +122,14 @@ val admit :
     connection's other backups crossing the same link).  Callers are
     expected to have routed with the matching feasibility predicates. *)
 
+val admissible :
+  t -> bw:int -> primary:Dr_topo.Path.t -> backups:Dr_topo.Path.t list -> bool
+(** Would {!admit} accept these routes now?  The same two checks it raises
+    from — every primary link has [bw] free, and each backup fits given the
+    primary and the backups before it — without committing anything.  The
+    protocol and shard simulators test a setup against the ground truth
+    with it when the confirmation lands. *)
+
 val release : t -> id:int -> unit
 (** Tear down: free primary bandwidth, unregister every backup (APLV
     decrement, spare shrink to the new requirement), then re-assign freed
@@ -140,10 +148,8 @@ val primaries_crossing_edge : t -> int -> conn list
 
 val primaries_crossing_edges : t -> edges:int list -> conn list
 (** Distinct connections whose primary crosses any of the given edges —
-    the victim set of a correlated failure.  Sorted by id. *)
-
-val primaries_crossing_group : t -> group:int -> conn list
-(** {!primaries_crossing_edges} over an SRLG group's member edges. *)
+    the victim set of a correlated failure.  Sorted by id.  A one-edge
+    list costs what {!primaries_crossing_edge} does. *)
 
 val spare_required : t -> link:int -> int
 (** Spare the policy wants on the link, in bandwidth units: [Multiplexed]
@@ -188,20 +194,16 @@ val reroute_primary : t -> id:int -> primary:Dr_topo.Path.t -> unit
     new primary's LSET, silently dropping backups that no longer fit.
     The new route must share the connection's endpoints. *)
 
-val replace_backups : t -> id:int -> backups:Dr_topo.Path.t list -> unit
-(** Resource reconfiguration (DRTP step 4): unregister the current backups
-    and register the given set.  [[]] leaves the connection unprotected.
-    Raises [Invalid_argument] if a new backup link cannot host it. *)
-
 val replace_backups_drop :
   t -> id:int -> backups:Dr_topo.Path.t list -> Dr_topo.Path.t list
-(** Like {!replace_backups}, but a member whose links can no longer host
-    it is silently dropped (the same graceful policy {!promote_backup}
-    applies to survivors) instead of raising; returns the members kept.
-    The raising variant is right when the caller just computed the set
-    against current resources; this one is right for recovery drivers,
-    where concurrent activations may have converted a surviving backup's
-    spare into prime since it was found. *)
+(** Resource reconfiguration (DRTP step 4): unregister the current backups
+    and register the given set in order; [[]] leaves the connection
+    unprotected.  A member whose links can no longer host it, given the
+    primary and the members kept before it, is dropped (the policy
+    {!promote_backup} applies to survivors); returns the members kept.
+    Recovery needs the drop: concurrent activations may have converted a
+    surviving backup's spare into prime since it was found.  Raises
+    [Invalid_argument] for an unknown id. *)
 
 val fail_edge : t -> edge:int -> unit
 (** Mark both directions of an edge as failed.  Failed links are excluded

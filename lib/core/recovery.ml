@@ -55,45 +55,16 @@ let recovered_fraction r =
       in
       float_of_int recovered /. float_of_int (List.length outcomes)
 
-(* Hops from the connection's source to the node that detects the failure
-   (the upstream endpoint of the failed edge on the primary). *)
-let report_hops conn edge =
+(* Hops from the connection's source to the first primary hop in the failed
+   set: that hop's upstream endpoint detects the failure, and its report
+   reaches the source first. *)
+let report_hops (conn : Net_state.conn) edges =
   let rec scan i = function
-    | [] -> invalid_arg "Recovery.report_hops: primary does not cross the edge"
-    | l :: rest -> if Graph.edge_of_link l = edge then i else scan (i + 1) rest
-  in
-  scan 0 (Path.links conn.Net_state.primary)
-
-(* Undirected edges of a path, in hop order. *)
-let edge_list_of_path p = List.map Graph.edge_of_link (Path.links p)
-
-(* [report_hops] generalised to a failed edge *set*: hops to the first
-   primary hop lying in the set — that endpoint's report reaches the
-   source first. *)
-let report_hops_any (conn : Net_state.conn) in_group =
-  let rec scan i = function
-    | [] ->
-        invalid_arg "Recovery.report_hops_any: primary does not cross the group"
+    | [] -> invalid_arg "Recovery.report_hops: primary does not cross the failed edges"
     | l :: rest ->
-        if Hashtbl.mem in_group (Graph.edge_of_link l) then i
-        else scan (i + 1) rest
+        if List.mem (Graph.edge_of_link l) edges then i else scan (i + 1) rest
   in
   scan 0 (Path.links conn.Net_state.primary)
-
-(* The backup a victim activates: first in priority order (from position
-   [from] on) that survives the failure and can get its bandwidth. *)
-let usable_backup_index ?(from = 0) state (conn : Net_state.conn) edge =
-  let rec scan i = function
-    | [] -> None
-    | b :: rest ->
-        if
-          i >= from
-          && (not (Path.crosses_edge b edge))
-          && Net_state.activation_feasible state ~id:conn.id ~index:i ()
-        then Some (i, b)
-        else scan (i + 1) rest
-  in
-  scan 0 conn.backups
 
 (* One control-plane transmission under the fault plan: redraw after each
    loss until the message gets through or the sender exhausts its
@@ -140,20 +111,47 @@ let transmit ~faults ~retrans ~cls ~id ~dropped ~resent ~span ~at =
       in
       go 0
 
-let fail_edge_drtp state ~scheme ?(timing = default_timing) ?(reconfigure = true)
-    ?(backup_count = 1) ?faults ?(retrans = default_retrans) ~edge () =
-  Net_state.fail_edge state ~edge;
-  let victims = Net_state.primaries_crossing_edge state edge in
-  (* Connections whose backups (not primary) die with this edge: collect
+(* What failed, which decides how the state is failed and what the journal
+   records.  One edge on its own records [failure-detected] and no chain
+   events.  An edge set records [group-failed] (group -1 when it carries no
+   group identity) and traces each victim's walk with [chain-failover] and
+   [chain-exhausted]; it is failed as SRLG [group] when given, otherwise
+   edge by edge. *)
+type failure = Edge of int | Edges of { group : int option; edges : int list }
+
+(* DRTP steps 2-4 for one failure event, whatever its size: detect, report,
+   switch every victim down its backups in priority order to the first that
+   avoids every failed edge and can get its bandwidth, then re-protect. *)
+let drtp_failover state ~scheme ?(timing = default_timing) ?(reconfigure = true)
+    ?(backup_count = 1) ?faults ?(retrans = default_retrans) failure =
+  let edges, chain_events =
+    match failure with
+    | Edge e -> ([ e ], false)
+    | Edges { edges; _ } -> (edges, true)
+  in
+  (match failure with
+  | Edges { group = Some group; _ } -> Net_state.fail_group state ~group
+  | Edge _ | Edges { group = None; _ } ->
+      List.iter (fun edge -> Net_state.fail_edge state ~edge) edges);
+  let crosses p = Path.crosses_any_edge p edges in
+  let victims = Net_state.primaries_crossing_edges state ~edges in
+  (* Connections whose backups (not primary) die with the failure: collect
      before any promotion changes the tables. *)
   let broken_backups = ref [] in
   Net_state.iter_conns state (fun c ->
-      if
-        (not (Path.crosses_edge c.primary edge))
-        && List.exists (fun b -> Path.crosses_edge b edge) c.backups
-      then broken_backups := c.id :: !broken_backups);
+      if (not (crosses c.primary)) && List.exists crosses c.backups then
+        broken_backups := c.id :: !broken_backups);
   if !J.on then
-    J.record (J.Failure_detected { edge; victims = List.length victims });
+    J.record
+      (match failure with
+      | Edge edge -> J.Failure_detected { edge; victims = List.length victims }
+      | Edges { group; edges } ->
+          J.Group_failed
+            {
+              group = Option.value group ~default:(-1);
+              edges = List.length edges;
+              victims = List.length victims;
+            });
   let dropped = ref 0 and resent = ref 0 in
   let fallback_unprotected = ref [] in
   let switched = ref [] in
@@ -185,10 +183,25 @@ let fail_edge_drtp state ~scheme ?(timing = default_timing) ?(reconfigure = true
         end;
         `Lost spent
   in
+  (* The backup a victim activates: first in priority order (from position
+     [from] on) that survives every failed edge and can get its bandwidth. *)
+  let usable_backup ~from (conn : Net_state.conn) =
+    let rec scan i = function
+      | [] -> None
+      | b :: rest ->
+          if
+            i >= from
+            && (not (crosses b))
+            && Net_state.activation_feasible state ~id:conn.id ~index:i ()
+          then Some (i, b)
+          else scan (i + 1) rest
+    in
+    scan 0 conn.backups
+  in
   let tagged =
     List.map
       (fun (conn : Net_state.conn) ->
-        let hops = report_hops conn edge in
+        let hops = report_hops conn edges in
         let detection = timing.detection_delay in
         let base = J.now () in
         let sp_root =
@@ -225,7 +238,7 @@ let fail_edge_drtp state ~scheme ?(timing = default_timing) ?(reconfigure = true
              member's (start, cost) so the spans can attach to whichever
              phase the outcome settles on (activate vs failover-wasted). *)
           let rec activate from wasted tries tried =
-            match usable_backup_index ~from state conn edge with
+            match usable_backup ~from conn with
             | Some (index, b) ->
                 let act_ok, act_extra =
                   transmit ~faults ~retrans ~cls:Faults.Activation ~id:conn.id
@@ -257,7 +270,17 @@ let fail_edge_drtp state ~scheme ?(timing = default_timing) ?(reconfigure = true
                     C.close sp_root ~dur:latency;
                     J.record
                       (J.Backup_activated
-                         { conn = conn.id; index; detection; report; activation })
+                         { conn = conn.id; index; detection; report; activation });
+                    if chain_events then begin
+                      let remaining =
+                        match Net_state.find state conn.id with
+                        | Some c -> List.length c.backups
+                        | None -> 0
+                      in
+                      J.record
+                        (J.Chain_failover
+                           { conn = conn.id; depth = index; remaining })
+                    end
                   end;
                   switched := (conn.id, latency) :: !switched;
                   `Switched latency
@@ -269,6 +292,8 @@ let fail_edge_drtp state ~scheme ?(timing = default_timing) ?(reconfigure = true
                      else tries)
                     true
             | None ->
+                if chain_events && !J.on then
+                  J.record (J.Chain_exhausted { conn = conn.id });
                 if tried then begin
                   (* Backups existed, but every activation signal was
                      lost: fall back to a reactive reroute. *)
@@ -291,8 +316,9 @@ let fail_edge_drtp state ~scheme ?(timing = default_timing) ?(reconfigure = true
           (conn.id, activate 0 0.0 [] false))
       victims
   in
-  (* DRTP step 4: re-protect the promoted connections and re-route the
-     backups the failure destroyed. *)
+  (* DRTP step 4: top the promoted connections and those whose backups died
+     back up to [backup_count] backups, with fresh members that avoid the
+     still-failed edges' SRLGs. *)
   let reprotected = Hashtbl.create 8 in
   let rerouted = ref 0 and unprotected = ref 0 in
   let step4_unprotected = ref [] in
@@ -301,16 +327,21 @@ let fail_edge_drtp state ~scheme ?(timing = default_timing) ?(reconfigure = true
       match Net_state.find state id with
       | None -> `Gone (* also a victim, and it was dropped *)
       | Some conn ->
-          let surviving =
-            List.filter (fun b -> not (Path.crosses_edge b edge)) conn.backups
-          in
+          let surviving = List.filter (fun b -> not (crosses b)) conn.backups in
           let fresh =
-            Routing.additional_backups scheme state ~primary:conn.primary
+            Routing.additional_chain_members scheme state ~primary:conn.primary
               ~bw:conn.bw ~existing:surviving
               ~count:(max 0 (backup_count - List.length surviving))
+            |> List.map (fun m -> m.Routing.cm_path)
           in
-          Net_state.replace_backups state ~id ~backups:(surviving @ fresh);
-          if surviving @ fresh = [] then `Unprotected
+          (* Drop variant: an earlier victim may have activated through a
+             surviving backup's links, converting the spare it needs into
+             prime. *)
+          let kept =
+            Net_state.replace_backups_drop state ~id
+              ~backups:(surviving @ fresh)
+          in
+          if kept = [] then `Unprotected
           else begin
             if !J.on then
               J.record (J.Reprotected { conn = id; fresh = List.length fresh });
@@ -345,8 +376,8 @@ let fail_edge_drtp state ~scheme ?(timing = default_timing) ?(reconfigure = true
       tagged
   in
   {
-    edge;
-    failed_edges = [ edge ];
+    edge = (match edges with e :: _ -> e | [] -> -1);
+    failed_edges = edges;
     outcomes;
     backups_rerouted = !rerouted;
     backups_unprotected = !unprotected;
@@ -355,6 +386,22 @@ let fail_edge_drtp state ~scheme ?(timing = default_timing) ?(reconfigure = true
     retransmits = !resent;
     messages_dropped = !dropped;
   }
+
+let fail_edge_drtp state ~scheme ?timing ?reconfigure ?backup_count ?faults
+    ?retrans ~edge () =
+  drtp_failover state ~scheme ?timing ?reconfigure ?backup_count ?faults
+    ?retrans (Edge edge)
+
+let fail_edges_drtp state ~scheme ?timing ?reconfigure ?backup_count ?faults
+    ?retrans ?group ~edges () =
+  drtp_failover state ~scheme ?timing ?reconfigure ?backup_count ?faults
+    ?retrans (Edges { group; edges })
+
+let fail_group_drtp state ~scheme ?timing ?reconfigure ?backup_count ?faults
+    ?retrans ~group () =
+  let edges = Dr_resilience.Srlg.edges_of_group (Net_state.srlg state) group in
+  fail_edges_drtp state ~scheme ?timing ?reconfigure ?backup_count ?faults
+    ?retrans ~group ~edges ()
 
 (* Remove loops from a node walk: when a node repeats, cut the cycle back
    to its first occurrence (the neighbour that followed the repeat in the
@@ -490,7 +537,7 @@ let fail_edge_reactive state ?(timing = default_timing) ~edge () =
   let notify_of = Hashtbl.create 8 in
   List.iter
     (fun (conn : Net_state.conn) ->
-      let hops = report_hops conn edge in
+      let hops = report_hops conn [ edge ] in
       let detection = timing.detection_delay in
       let report = timing.link_delay *. float_of_int hops in
       let notify = detection +. report in
@@ -574,269 +621,3 @@ let fail_edge_reactive state ?(timing = default_timing) ~edge () =
     retransmits = 0;
     messages_dropped = 0;
   }
-
-(* ---- correlated (SRLG) failures ------------------------------------------ *)
-
-(* [fail_edge_drtp] generalised to an arbitrary edge set failing as one
-   event.  Kept as a separate function — not a wrapper the single-edge
-   path routes through — so the single-edge code above stays bit-identical
-   to its pre-SRLG behaviour (latencies, journal and all).  When [group] is
-   given the set is an SRLG and the state is failed/journalled under that
-   label; otherwise (regional bursts with no group identity) the edges are
-   failed individually and journalled as group [-1]. *)
-let fail_edges_drtp state ~scheme ?(timing = default_timing)
-    ?(reconfigure = true) ?(backup_count = 1) ?faults
-    ?(retrans = default_retrans) ?group ~edges () =
-  let in_group = Hashtbl.create 8 in
-  List.iter (fun e -> Hashtbl.replace in_group e ()) edges;
-  let crosses_failed p =
-    List.exists (fun e -> Hashtbl.mem in_group e) (edge_list_of_path p)
-  in
-  (match group with
-  | Some group -> Net_state.fail_group state ~group
-  | None -> List.iter (fun edge -> Net_state.fail_edge state ~edge) edges);
-  let victims = Net_state.primaries_crossing_edges state ~edges in
-  let broken_backups = ref [] in
-  Net_state.iter_conns state (fun c ->
-      if
-        (not (crosses_failed c.primary))
-        && List.exists crosses_failed c.backups
-      then broken_backups := c.id :: !broken_backups);
-  if !J.on then
-    J.record
-      (J.Group_failed
-         {
-           group = (match group with Some g -> g | None -> -1);
-           edges = List.length edges;
-           victims = List.length victims;
-         });
-  let dropped = ref 0 and resent = ref 0 in
-  let fallback_unprotected = ref [] in
-  let switched = ref [] in
-  let fallback (conn : Net_state.conn) ~sp_root ~base ~spent =
-    Net_state.drop state ~id:conn.id;
-    match Routing.find_primary state ~src:conn.src ~dst:conn.dst ~bw:conn.bw with
-    | Some p ->
-        let wire = timing.link_delay *. float_of_int (Path.hops p) in
-        let latency = spent +. timing.route_computation +. wire in
-        ignore (Net_state.admit state ~id:conn.id ~bw:conn.bw ~primary:p ~backups:[]);
-        fallback_unprotected := conn.id :: !fallback_unprotected;
-        if !J.on then begin
-          C.leaf ~parent:sp_root ~conn:conn.id ~t0:(base +. spent)
-            ~dur:timing.route_computation "route-comp";
-          C.leaf ~parent:sp_root ~conn:conn.id
-            ~t0:(base +. spent +. timing.route_computation)
-            ~dur:wire "wire";
-          C.close sp_root ~dur:latency;
-          J.record (J.Rerouted { conn = conn.id; latency; retries = 0 })
-        end;
-        `Fell_back latency
-    | None ->
-        if !J.on then begin
-          C.close sp_root ~dur:spent;
-          J.record (J.Connection_lost { conn = conn.id; latency = spent })
-        end;
-        `Lost spent
-  in
-  (* First usable chain member at or past [from]: survives *every* failed
-     edge of the group and can get its bandwidth. *)
-  let usable_member ~from (conn : Net_state.conn) =
-    let rec scan i = function
-      | [] -> None
-      | b :: rest ->
-          if
-            i >= from
-            && (not (crosses_failed b))
-            && Net_state.activation_feasible state ~id:conn.id ~index:i ()
-          then Some (i, b)
-          else scan (i + 1) rest
-    in
-    scan 0 conn.backups
-  in
-  let tagged =
-    List.map
-      (fun (conn : Net_state.conn) ->
-        (* Detection happens at the failed primary hop nearest the source:
-           that endpoint's report arrives first. *)
-        let hops = report_hops_any conn in_group in
-        let detection = timing.detection_delay in
-        let base = J.now () in
-        let sp_root =
-          if !J.on then C.root ~conn:conn.id "recovery" else C.null
-        in
-        if !J.on then
-          C.leaf ~parent:sp_root ~conn:conn.id ~t0:base ~dur:detection
-            "detect";
-        let report = timing.link_delay *. float_of_int hops in
-        let sp_report =
-          if !J.on then
-            C.child ~parent:sp_root ~conn:conn.id ~t0:(base +. detection)
-              "report"
-          else C.null
-        in
-        let rep_ok, rep_extra =
-          transmit ~faults ~retrans ~cls:Faults.Report ~id:conn.id ~dropped
-            ~resent ~span:sp_report
-            ~at:(base +. detection +. report)
-        in
-        let report = report +. rep_extra in
-        if !J.on then C.close sp_report ~dur:report;
-        let notify = detection +. report in
-        if !J.on then
-          J.record (J.Report_hop { conn = conn.id; hops; detection; report });
-        if not rep_ok then (conn.id, fallback conn ~sp_root ~base ~spent:notify)
-        else
-          (* Ordered failover down the chain: walk members in priority
-             order; a lost activation signal burns its budget and falls
-             through to the next member. *)
-          let rec activate from wasted tries tried =
-            match usable_member ~from conn with
-            | Some (index, b) ->
-                let act_ok, act_extra =
-                  transmit ~faults ~retrans ~cls:Faults.Activation ~id:conn.id
-                    ~dropped ~resent ~span:C.null ~at:0.0
-                in
-                if act_ok then begin
-                  let wire = timing.link_delay *. float_of_int (Path.hops b) in
-                  let activation = wasted +. act_extra +. wire in
-                  let latency = notify +. activation in
-                  Net_state.promote_backup state ~id:conn.id ~index ();
-                  if !J.on then begin
-                    let sp_act =
-                      C.child ~parent:sp_root ~conn:conn.id
-                        ~t0:(base +. notify) "activate"
-                    in
-                    List.iter
-                      (fun (t0, dur) ->
-                        C.leaf ~parent:sp_act ~conn:conn.id ~t0 ~dur
-                          "failover-wait")
-                      (List.rev tries);
-                    if act_extra > 0.0 then
-                      C.leaf ~parent:sp_act ~conn:conn.id
-                        ~t0:(base +. notify +. wasted) ~dur:act_extra
-                        "retransmit-wait";
-                    C.leaf ~parent:sp_act ~conn:conn.id
-                      ~t0:(base +. notify +. wasted +. act_extra) ~dur:wire
-                      "wire";
-                    C.close sp_act ~dur:activation;
-                    C.close sp_root ~dur:latency;
-                    J.record
-                      (J.Backup_activated
-                         { conn = conn.id; index; detection; report; activation });
-                    let remaining =
-                      match Net_state.find state conn.id with
-                      | Some c -> List.length c.backups
-                      | None -> 0
-                    in
-                    J.record
-                      (J.Chain_failover
-                         { conn = conn.id; depth = index; remaining })
-                  end;
-                  switched := (conn.id, latency) :: !switched;
-                  `Switched latency
-                end
-                else
-                  activate (index + 1) (wasted +. act_extra)
-                    (if !J.on then
-                       (base +. notify +. wasted, act_extra) :: tries
-                     else tries)
-                    true
-            | None ->
-                if !J.on then J.record (J.Chain_exhausted { conn = conn.id });
-                if tried then begin
-                  if !J.on then
-                    C.leaf ~parent:sp_root ~conn:conn.id ~t0:(base +. notify)
-                      ~dur:wasted "failover-wasted";
-                  fallback conn ~sp_root ~base ~spent:(notify +. wasted)
-                end
-                else begin
-                  Net_state.drop state ~id:conn.id;
-                  if !J.on then begin
-                    C.close sp_root ~dur:notify;
-                    J.record (J.Backup_contended { conn = conn.id });
-                    J.record
-                      (J.Connection_lost { conn = conn.id; latency = notify })
-                  end;
-                  `Lost notify
-                end
-          in
-          (conn.id, activate 0 0.0 [] false))
-      victims
-  in
-  (* Step 4, chain-aware: top exhausted chains back up with members that
-     avoid the still-failed group's SRLGs. *)
-  let reprotected = Hashtbl.create 8 in
-  let rerouted = ref 0 and unprotected = ref 0 in
-  let step4_unprotected = ref [] in
-  if reconfigure then begin
-    let top_up id =
-      match Net_state.find state id with
-      | None -> `Gone
-      | Some conn ->
-          let surviving = List.filter (fun b -> not (crosses_failed b)) conn.backups in
-          let fresh =
-            Routing.additional_chain_members scheme state ~primary:conn.primary
-              ~bw:conn.bw ~existing:surviving
-              ~count:(max 0 (backup_count - List.length surviving))
-            |> List.map (fun m -> m.Routing.cm_path)
-          in
-          (* Drop variant: earlier victims of the same burst may have
-             activated through a surviving member's links, converting the
-             spare it needs into prime. *)
-          let kept =
-            Net_state.replace_backups_drop state ~id
-              ~backups:(surviving @ fresh)
-          in
-          if kept = [] then `Unprotected
-          else begin
-            if !J.on then
-              J.record (J.Reprotected { conn = id; fresh = List.length fresh });
-            if fresh <> [] then `Rerouted else `Kept
-          end
-    in
-    List.iter
-      (fun (id, _) ->
-        match top_up id with
-        | `Gone -> ()
-        | `Unprotected -> step4_unprotected := id :: !step4_unprotected
-        | `Rerouted | `Kept -> Hashtbl.replace reprotected id ())
-      !switched;
-    List.iter
-      (fun id ->
-        match top_up id with
-        | `Gone | `Kept -> ()
-        | `Rerouted -> incr rerouted
-        | `Unprotected ->
-            incr unprotected;
-            step4_unprotected := id :: !step4_unprotected)
-      !broken_backups
-  end;
-  let outcomes =
-    List.map
-      (fun (id, tag) ->
-        match tag with
-        | `Lost latency -> (id, Lost { latency })
-        | `Fell_back latency -> (id, Rerouted { latency; retries = 0 })
-        | `Switched latency ->
-            (id, Switched { latency; reprotected = Hashtbl.mem reprotected id }))
-      tagged
-  in
-  {
-    edge = (match edges with e :: _ -> e | [] -> -1);
-    failed_edges = edges;
-    outcomes;
-    backups_rerouted = !rerouted;
-    backups_unprotected = !unprotected;
-    unprotected_ids =
-      List.rev !fallback_unprotected @ List.rev !step4_unprotected;
-    retransmits = !resent;
-    messages_dropped = !dropped;
-  }
-
-let fail_group_drtp state ~scheme ?(timing = default_timing)
-    ?(reconfigure = true) ?(backup_count = 1) ?faults
-    ?(retrans = default_retrans) ~group () =
-  let srlg = Net_state.srlg state in
-  let edges = Dr_resilience.Srlg.edges_of_group srlg group in
-  fail_edges_drtp state ~scheme ~timing ~reconfigure ~backup_count ?faults
-    ~retrans ~group ~edges ()

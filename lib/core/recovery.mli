@@ -21,7 +21,19 @@
 
     After switching, DRTP step 4 re-establishes dependability: promoted
     connections get a fresh backup, and surviving connections whose backup
-    crossed the failed edge get their backup re-routed. *)
+    crossed the failed edge get their backup re-routed.
+
+    {!fail_edge_drtp}, {!fail_edges_drtp} and {!fail_group_drtp} run one
+    DRTP body: a single edge is the one-member edge set.  The entry point
+    decides only how the state is failed ({!Net_state.fail_group} for an
+    SRLG, {!Net_state.fail_edge} on each edge otherwise) and what the
+    journal records: one edge records [failure-detected] and no chain
+    events; an edge set records [group-failed] (group [-1] without a
+    group), [chain-failover] and [chain-exhausted].  Step 4 tops backups up
+    with {!Routing.additional_chain_members} and installs them with
+    {!Net_state.replace_backups_drop}, so a surviving backup that an
+    earlier activation left without room is dropped, and its connection
+    reported unprotected, instead of raising. *)
 
 type timing = {
   detection_delay : float;  (** seconds until the adjacent node notices *)
@@ -62,7 +74,8 @@ type report = {
           edge, or -1 for an empty group) *)
   failed_edges : int list;
       (** every edge this event took down — [[edge]] for the single-edge
-          entry points, the group's member list for {!fail_group_drtp} *)
+          entry points, the given set for {!fail_edges_drtp}, the group's
+          member list for {!fail_group_drtp} *)
   outcomes : (int * outcome) list;  (** per affected connection id *)
   backups_rerouted : int;
       (** unaffected connections whose backup crossed the failed edge and
@@ -97,8 +110,12 @@ val fail_edge_drtp :
     in {!Failure_eval}), then reconfigure ([reconfigure] defaults to
     [true]): promoted connections and connections whose backups died are
     topped back up to [backup_count] (default 1) backups where routes
-    exist.  The edge is left marked failed; call
-    {!Net_state.restore_edge} to repair it.
+    exist, and a surviving backup that no longer fits is dropped.  Under
+    the singleton SRLG model the top-ups are {!Routing.additional_backups}'
+    routes; under a shared-risk model they avoid the failed edge's SRLGs,
+    as group top-ups do.  Journals [failure-detected] and no chain events.
+    The edge is left marked failed; call {!Net_state.restore_edge} to
+    repair it.
 
     With a [faults] plan installed, failure reports and activation signals
     are subject to loss: each lost copy is retransmitted after a doubling
@@ -123,14 +140,15 @@ val fail_edges_drtp :
   edges:int list ->
   unit ->
   report
-(** Fail an arbitrary edge set as one correlated event — the core
+(** Fail an arbitrary edge set as one correlated event — the entry point
     {!fail_group_drtp} delegates to.  With [group] the set is failed as
     that SRLG (via {!Net_state.fail_group}); without it — regional bursts
     from {!Dr_resilience.Srlg.regional_schedule} carry no group identity —
     each edge is failed individually (restore with
     {!Net_state.restore_edge}) and the [group-failed] journal record
     carries group [-1].  Failover, fallback, timing and reconfiguration
-    semantics are exactly those of {!fail_group_drtp}. *)
+    are those of {!fail_edge_drtp} over the whole set; [~edges:[e]]
+    differs from [fail_edge_drtp ~edge:e] only in the journal. *)
 
 val fail_group_drtp :
   Net_state.t ->

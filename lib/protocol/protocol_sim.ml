@@ -4,7 +4,6 @@ module Scenario = Dr_sim.Scenario
 module Engine = Dr_sim.Engine
 module Net_state = Drtp.Net_state
 module Routing = Drtp.Routing
-module Resources = Drtp.Resources
 module Faults = Dr_faults.Faults
 module Backoff = Dr_faults.Backoff
 module J = Dr_obs.Journal
@@ -82,34 +81,6 @@ type event =
   | Lsa_originate of int  (* directed link *)
   | Lsa_deliver of int
   | Sample
-
-(* The admission checks of Net_state.admit, evaluated without committing,
-   against the current ground truth. *)
-let admissible state ~bw (pair : Routing.route_pair) =
-  let resources = Net_state.resources state in
-  let primary_links = Path.links pair.Routing.primary in
-  let primary_ok =
-    List.for_all
-      (fun l -> Resources.primary_feasible resources ~link:l ~bw)
-      primary_links
-  in
-  let occurrences l links =
-    List.fold_left (fun n x -> if x = l then n + 1 else n) 0 links
-  in
-  let rec backups_ok earlier = function
-    | [] -> true
-    | b :: rest ->
-        List.for_all
-          (fun l ->
-            let own =
-              occurrences l primary_links
-              + List.fold_left (fun n e -> n + occurrences l (Path.links e)) 0 earlier
-            in
-            Resources.available_for_backup resources l >= bw * (1 + own))
-          (Path.links b)
-        && backups_ok (b :: earlier) rest
-  in
-  primary_ok && backups_ok [] pair.Routing.backups
 
 let setup_hops (pair : Routing.route_pair) =
   (* Primary and backup confirmations run simultaneously (§4.4); the setup
@@ -324,7 +295,10 @@ let run ?(config = default_config) ~graph ~capacity ~scenario ~warmup ~horizon
                so an eventual admission is immediately torn down. *)
             Hashtbl.replace released_early conn ())
     | Setup_arrival { conn; bw; attempt; pair } ->
-        if admissible state ~bw pair then begin
+        if
+          Net_state.admissible state ~bw ~primary:pair.Routing.primary
+            ~backups:pair.Routing.backups
+        then begin
           if ack_delivered ~conn then begin
             ignore
               (Net_state.admit state ~id:conn ~bw ~primary:pair.Routing.primary

@@ -14,7 +14,6 @@ let group_count t = Array.length t.members
 let is_singleton t = t.singleton
 
 let group_name t g = t.names.(g)
-let edges_of_group_arr t g = t.members.(g)
 let edges_of_group t g = Array.to_list t.members.(g)
 let groups_of_edge_arr t e = t.owners.(e)
 let groups_of_edge t e = Array.to_list t.owners.(e)

@@ -48,9 +48,6 @@ val group_name : t -> int -> string
 val edges_of_group : t -> int -> int list
 (** Member edges, sorted ascending. *)
 
-val edges_of_group_arr : t -> int -> int array
-(** Member edges as the internal array (do not mutate). *)
-
 val groups_of_edge : t -> int -> int list
 (** Groups containing the edge, sorted ascending; never empty. *)
 

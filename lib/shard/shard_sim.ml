@@ -128,34 +128,6 @@ type event =
   | View_checkpoint
   | Sample
 
-(* The admission checks of Net_state.admit, evaluated without committing,
-   against the current ground truth (same as Protocol_sim). *)
-let admissible state ~bw (pair : Routing.route_pair) =
-  let resources = Net_state.resources state in
-  let primary_links = Path.links pair.Routing.primary in
-  let primary_ok =
-    List.for_all
-      (fun l -> Drtp.Resources.primary_feasible resources ~link:l ~bw)
-      primary_links
-  in
-  let occurrences l links =
-    List.fold_left (fun n x -> if x = l then n + 1 else n) 0 links
-  in
-  let rec backups_ok earlier = function
-    | [] -> true
-    | b :: rest ->
-        List.for_all
-          (fun l ->
-            let own =
-              occurrences l primary_links
-              + List.fold_left (fun n e -> n + occurrences l (Path.links e)) 0 earlier
-            in
-            Drtp.Resources.available_for_backup resources l >= bw * (1 + own))
-          (Path.links b)
-        && backups_ok (b :: earlier) rest
-  in
-  primary_ok && backups_ok [] pair.Routing.backups
-
 let setup_hops (pair : Routing.route_pair) =
   List.fold_left
     (fun acc b -> max acc (Path.hops b))
@@ -622,7 +594,10 @@ let run ?(config = default_config) ?partition ~graph ~capacity ~scenario ~warmup
                 (Teardown_arrival conn))
     | Teardown_arrival conn -> release_now now conn
     | Setup_arrival { conn; bw; attempt; shard; pair } ->
-        if admissible truth ~bw pair then begin
+        if
+          Net_state.admissible truth ~bw ~primary:pair.Routing.primary
+            ~backups:pair.Routing.backups
+        then begin
           if ack_delivered ~conn then commit now ~conn ~bw pair
           else begin
             (* Every ACK copy was lost: the destination's reservation times

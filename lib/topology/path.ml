@@ -45,6 +45,14 @@ let contains_link p l = List.mem l p.links
 
 let crosses_edge p e = List.exists (fun l -> Graph.edge_of_link l = e) p.links
 
+let rec mem_edge (e : int) = function [] -> false | x :: rest -> x = e || mem_edge e rest
+
+let rec links_cross edges = function
+  | [] -> false
+  | l :: rest -> mem_edge (Graph.edge_of_link l) edges || links_cross edges rest
+
+let crosses_any_edge p edges = links_cross edges p.links
+
 let link_overlap a b = Link_set.cardinal (Link_set.inter (lset a) (lset b))
 
 let edge_overlap a b =

@@ -37,6 +37,11 @@ val contains_link : t -> int -> bool
 val crosses_edge : t -> int -> bool
 (** True if the route uses either direction of undirected edge [e]. *)
 
+val crosses_any_edge : t -> int list -> bool
+(** True if the route uses either direction of any of the given edges.
+    Allocates nothing; meant for the short failed-edge sets of failure
+    evaluation (it scans the list once per hop). *)
+
 val link_overlap : t -> t -> int
 (** Number of directed links shared by two routes. *)
 

@@ -112,7 +112,8 @@ let test_second_backup_rescues_contention () =
   Alcotest.(check int) "both survive thanks to the second backup" 2 o.FE.activated;
   check_inv st;
   (* Counterfactual: without the second backup, one of them dies. *)
-  Net_state.replace_backups st ~id:2 ~backups:[ path g [ 0; 3; 4 ] ];
+  Alcotest.(check int) "one backup kept" 1
+    (List.length (Net_state.replace_backups_drop st ~id:2 ~backups:[ path g [ 0; 3; 4 ] ]));
   let o2 = FE.evaluate_edge st ~edge:(edge g 0 1) in
   Alcotest.(check int) "only one survives without it" 1 o2.FE.activated
 
@@ -154,8 +155,10 @@ let test_replace_backups_multi () =
   let g = Net_state.graph st in
   let primary = path g [ 0; 1; 2; 3; 4 ] in
   ignore (Net_state.admit st ~id:1 ~bw:1 ~primary ~backups:[ path g [ 0; 4 ] ]);
-  Net_state.replace_backups st ~id:1
-    ~backups:[ path g [ 0; 7; 6; 5; 4 ]; path g [ 0; 4 ] ];
+  Alcotest.(check int) "both kept" 2
+    (List.length
+       (Net_state.replace_backups_drop st ~id:1
+          ~backups:[ path g [ 0; 7; 6; 5; 4 ]; path g [ 0; 4 ] ]));
   let conn = Option.get (Net_state.find st 1) in
   Alcotest.(check int) "two backups now" 2 (List.length conn.Net_state.backups);
   check_inv st

@@ -229,14 +229,17 @@ let test_replace_backup () =
   ignore
     (Net_state.admit st ~id:1 ~bw:1 ~primary:(path g [ 0; 1; 2 ])
        ~backups:[ path g [ 0; 3; 4; 5; 2 ] ]);
-  Net_state.replace_backups st ~id:1 ~backups:[ path g [ 0; 3; 4; 1; 2 ] ];
+  Alcotest.(check int) "kept" 1
+    (List.length
+       (Net_state.replace_backups_drop st ~id:1 ~backups:[ path g [ 0; 3; 4; 1; 2 ] ]));
   let conn = Option.get (Net_state.find st 1) in
   Alcotest.(check (list int)) "new backup installed" [ 0; 3; 4; 1; 2 ]
     (Path.nodes g (List.hd conn.Net_state.backups));
   Alcotest.(check int) "old backup link spare gone" 0
     (Resources.spare_bw (Net_state.resources st) (link g 4 5));
   check_inv st;
-  Net_state.replace_backups st ~id:1 ~backups:[];
+  Alcotest.(check int) "nothing kept" 0
+    (List.length (Net_state.replace_backups_drop st ~id:1 ~backups:[]));
   Alcotest.(check int) "unprotected: no spare" 0
     (Resources.total_spare (Net_state.resources st));
   check_inv st

@@ -56,7 +56,16 @@ let test_edge_set_crosses () =
   (* The reverse path crosses the same edges. *)
   let rev = Path.of_nodes g [ 4; 1; 0 ] in
   Alcotest.(check bool) "reverse crosses same edges" true
-    (Path.Link_set.equal edges (Path.edge_set rev))
+    (Path.Link_set.equal edges (Path.edge_set rev));
+  (* Any edge of a set: the same answer as crossing one of them. *)
+  let all = List.init (Graph.edge_count g) Fun.id in
+  List.iter
+    (fun set ->
+      Alcotest.(check bool) "crosses any = exists crosses"
+        (List.exists (Path.crosses_edge p) set)
+        (Path.crosses_any_edge p set))
+    ([] :: all :: List.map (fun e -> [ e ]) all
+    @ List.map (fun e -> [ e; (e + 1) mod Graph.edge_count g ]) all)
 
 let test_overlap () =
   let g = grid () in

@@ -5,6 +5,7 @@ module Recovery = Drtp.Recovery
 module Routing = Drtp.Routing
 module Faults = Dr_faults.Faults
 module Rng = Dr_rng.Splitmix64
+module J = Dr_obs.Journal
 
 let mesh_state ?(capacity = 10) () =
   let graph = Dr_topo.Gen.mesh ~rows:3 ~cols:3 in
@@ -297,6 +298,109 @@ let test_step4_promoted_without_fresh_backup () =
   Alcotest.(check (list int)) "promoted conn still queued" [ 1 ]
     report.Recovery.unprotected_ids
 
+let test_step4_drops_backup_that_no_longer_fits () =
+  (* a=0 b=1 x=2 y=3 c=4 d=5, capacity 1.  Edge a-b carries connection 1's
+     primary and connection 2's first backup.  Connection 1 switches onto
+     a-x-y-b, which turns the spare on x->y into prime, so connection 2's
+     surviving backup c-x-y-d no longer fits: step 4 must drop it and queue
+     connection 2 for reprotection, through either entry point. *)
+  let graph =
+    Graph.create ~node_count:6
+      ~edges:[ (0, 1); (0, 2); (2, 3); (3, 1); (4, 5); (4, 1); (0, 5); (4, 2); (3, 5) ]
+  in
+  let run name fail =
+    let st = Net_state.create ~graph ~capacity:1 ~spare_policy:Net_state.Multiplexed in
+    ignore
+      (Net_state.admit st ~id:1 ~bw:1 ~primary:(path graph [ 0; 1 ])
+         ~backups:[ path graph [ 0; 2; 3; 1 ] ]);
+    ignore
+      (Net_state.admit st ~id:2 ~bw:1 ~primary:(path graph [ 4; 5 ])
+         ~backups:[ path graph [ 4; 1; 0; 5 ]; path graph [ 4; 2; 3; 5 ] ]);
+    let report = fail st (edge graph 0 1) in
+    (match report.Recovery.outcomes with
+    | [ (1, Recovery.Switched _) ] -> ()
+    | _ -> Alcotest.failf "%s: expected connection 1 to switch" name);
+    Alcotest.(check (list int)) (name ^ ": connection 2 unprotected") [ 2 ]
+      report.Recovery.unprotected_ids;
+    Alcotest.(check int) (name ^ ": its backup was dropped") 0
+      (List.length (Option.get (Net_state.find st 2)).Net_state.backups);
+    Alcotest.(check bool) (name ^ ": invariants hold") true
+      (Net_state.check_invariants st = Ok ())
+  in
+  run "fail_edge_drtp" (fun st edge ->
+      Recovery.fail_edge_drtp st ~scheme:Routing.Dlsr ~edge ());
+  run "fail_edges_drtp" (fun st e ->
+      Recovery.fail_edges_drtp st ~scheme:Routing.Dlsr ~edges:[ e ] ())
+
+(* ---- which entry point journals what ------------------------------------ *)
+
+(* Edge 1-2 of the mesh fails under two primaries.  Connection 1 (k = 2)
+   has a first backup that crosses the edge, so it activates its second
+   (depth 1); connection 2's only backup crosses the edge as well. *)
+let failover_events fail =
+  let g, st = mesh_state () in
+  ignore
+    (Net_state.admit st ~id:1 ~bw:1 ~primary:(path g [ 0; 1; 2 ])
+       ~backups:[ path g [ 0; 3; 4; 1; 2 ]; path g [ 0; 3; 6; 7; 8; 5; 2 ] ]);
+  ignore
+    (Net_state.admit st ~id:2 ~bw:1 ~primary:(path g [ 4; 1; 2 ])
+       ~backups:[ path g [ 4; 3; 0; 1; 2 ] ]);
+  let e = edge g 1 2 in
+  let was_on = J.enabled () in
+  J.set_enabled true;
+  let report, captured =
+    Fun.protect
+      ~finally:(fun () -> J.set_enabled was_on)
+      (fun () -> J.capture (fun () -> fail st e))
+  in
+  (match report.Recovery.outcomes with
+  | [ (1, Recovery.Switched _); (2, Recovery.Lost _) ] -> ()
+  | _ -> Alcotest.fail "expected connection 1 to switch and 2 to be lost");
+  (e, List.map (fun (x : J.entry) -> x.J.event) (J.captured_entries captured))
+
+let count_kind kind events =
+  List.length (List.filter (fun ev -> J.kind_name ev = kind) events)
+
+let test_single_edge_journal () =
+  let e, events =
+    failover_events (fun st edge ->
+        Recovery.fail_edge_drtp st ~scheme:Routing.Dlsr ~backup_count:2 ~edge ())
+  in
+  Alcotest.(check bool) "failure-detected names the edge" true
+    (List.mem (J.Failure_detected { edge = e; victims = 2 }) events);
+  Alcotest.(check bool) "second backup activated" true
+    (List.exists
+       (function J.Backup_activated { conn = 1; index = 1; _ } -> true | _ -> false)
+       events);
+  List.iter
+    (fun kind -> Alcotest.(check int) ("no " ^ kind) 0 (count_kind kind events))
+    [ "group-failed"; "chain-failover"; "chain-exhausted" ]
+
+let test_edge_set_journal () =
+  let check name group fail =
+    let _, events = failover_events fail in
+    Alcotest.(check int) (name ^ ": no failure-detected") 0
+      (count_kind "failure-detected" events);
+    Alcotest.(check bool) (name ^ ": group-failed") true
+      (List.mem (J.Group_failed { group; edges = 1; victims = 2 }) events);
+    Alcotest.(check (list int)) (name ^ ": chain-failover at depth 1") [ 1 ]
+      (List.filter_map
+         (function J.Chain_failover { conn = 1; depth; _ } -> Some depth | _ -> None)
+         events);
+    Alcotest.(check bool) (name ^ ": chain-exhausted for connection 2") true
+      (List.mem (J.Chain_exhausted { conn = 2 }) events);
+    Alcotest.(check int) (name ^ ": one chain-exhausted") 1
+      (count_kind "chain-exhausted" events)
+  in
+  let g, _ = mesh_state () in
+  let e = edge g 1 2 in
+  check "fail_edges_drtp" (-1) (fun st edge ->
+      Recovery.fail_edges_drtp st ~scheme:Routing.Dlsr ~backup_count:2
+        ~edges:[ edge ] ());
+  (* Singleton model: the edge is its own group. *)
+  check "fail_group_drtp" e (fun st edge ->
+      Recovery.fail_group_drtp st ~scheme:Routing.Dlsr ~backup_count:2 ~group:edge ())
+
 (* ---- recovered_fraction property ---------------------------------------- *)
 
 let property ?(count = 100) name gen f =
@@ -357,6 +461,9 @@ let suite =
         Alcotest.test_case "step 4: reroute success pinned" `Quick test_step4_counters_reroute_success;
         Alcotest.test_case "step 4: no spare route pinned" `Quick test_step4_counters_no_spare_route;
         Alcotest.test_case "step 4: promoted without fresh backup" `Quick test_step4_promoted_without_fresh_backup;
+        Alcotest.test_case "step 4 drops a backup that no longer fits" `Quick test_step4_drops_backup_that_no_longer_fits;
+        Alcotest.test_case "single edge: failure-detected, no chain events" `Quick test_single_edge_journal;
+        Alcotest.test_case "edge set: group-failed and chain events" `Quick test_edge_set_journal;
         prop_recovered_fraction_bounded;
       ] );
   ]

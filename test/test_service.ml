@@ -155,12 +155,15 @@ let mutation_walk ~steps ~scheme rng graph m next_id =
               Routing.find_backups scheme state ~primary:c.Net_state.primary
                 ~bw:c.Net_state.bw ~count:2
             in
-            if Dist.uniform_int rng ~lo:0 ~hi:1 = 0 then
-              Net_state.replace_backups state ~id:c.Net_state.id ~backups
-            else
-              ignore
-                (Net_state.replace_backups_drop state ~id:c.Net_state.id ~backups
-                  : Path.t list))
+            (* Freshly routed members fit, so on half the draws insist
+               that every one is kept. *)
+            let strict = Dist.uniform_int rng ~lo:0 ~hi:1 = 0 in
+            let kept =
+              Net_state.replace_backups_drop state ~id:c.Net_state.id ~backups
+            in
+            if strict && List.length kept <> List.length backups then
+              Alcotest.failf "connection %d: a freshly routed backup was dropped"
+                c.Net_state.id)
     | 10 ->
         let srlg = Net_state.srlg state in
         let g = Dist.uniform_int rng ~lo:0 ~hi:(Srlg.group_count srlg - 1) in
@@ -172,7 +175,7 @@ let mutation_walk ~steps ~scheme rng graph m next_id =
         | None -> ()
         | Some c ->
             let id = c.Net_state.id in
-            Net_state.replace_backups state ~id ~backups:[];
+            ignore (Net_state.replace_backups_drop state ~id ~backups:[] : Path.t list);
             Manager.queue_reprotect m ~id ~scheme ~now ())
     | _ -> ignore (Manager.drain_reprotect m ~now : int)
   done

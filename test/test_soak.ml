@@ -105,11 +105,15 @@ let soak ~steps ~seed ~scheme graph =
             | None -> ()
             | Some c ->
                 let bw = c.Net_state.bw and primary = c.Net_state.primary in
-                if Dist.uniform_int rng ~lo:0 ~hi:1 = 0 then
+                if Dist.uniform_int rng ~lo:0 ~hi:1 = 0 then begin
                   let backups =
                     Routing.find_backups scheme state ~primary ~bw ~count:2
                   in
-                  Net_state.replace_backups state ~id ~backups
+                  let kept = Net_state.replace_backups_drop state ~id ~backups in
+                  (* Freshly routed members fit: none may be dropped. *)
+                  if List.length kept <> List.length backups then
+                    Alcotest.failf "connection %d: a freshly routed backup was dropped" id
+                end
                 else
                   (* Reroute: nudge the search away from the current route by
                      failing its first edge, then restore it. *)
