@@ -37,17 +37,25 @@ type undo =
       (* primary, backups and degraded before the change *)
   | Failed of int * bool  (* edge, flag before *)
 
+(* The §5 spare weights of one directed link: [weight.(g)] is the total
+   backup bandwidth that SRLG group [g]'s failure would activate here
+   (under the singleton model group ids are edge ids, so this is the
+   paper's per-failure-edge row exactly); [at.(v)] counts the groups of
+   weight [v >= 1]; [top] is the largest weight, the [Multiplexed] spare
+   requirement. *)
+type weights = {
+  weight : int array;
+  mutable at : int array; (* grown on demand *)
+  mutable top : int;
+}
+
 type t = {
   graph : Graph.t;
   resources : Resources.t;
   aplv : Aplv.t array;
       (* per directed link: the dense row of a_{l,j} over failure edges,
          the one store every routing cost term reads *)
-  spare_weight : (int, int) Hashtbl.t array;
-      (* per directed link: SRLG group -> total backup bandwidth that the
-         group's failure would activate here.  Under the singleton model
-         group ids coincide with edge ids, so this is the paper's
-         per-failure-edge table exactly. *)
+  weights : weights array; (* per directed link *)
   srlg : Srlg.t;
   backup_total : int array; (* per directed link: sum of backup bandwidths *)
   conns : (int, conn) Hashtbl.t;
@@ -74,7 +82,9 @@ let make ~srlg ~graph ~capacity ~spare_policy =
     graph;
     resources = Resources.create ~link_count:links ~capacity;
     aplv = Array.init links (fun _ -> Aplv.create ~domains:edges);
-    spare_weight = Array.init links (fun _ -> Hashtbl.create 8);
+    weights =
+      Array.init links (fun _ ->
+          { weight = Array.make (Srlg.group_count srlg) 0; at = Array.make 8 0; top = 0 });
     backup_total = Array.make links 0;
     conns = Hashtbl.create 256;
     srlg;
@@ -112,7 +122,7 @@ let edge_lset_of_path p = Path.Link_set.elements (Path.edge_set p)
 let spare_required t ~link =
   match t.spare_policy with
   | Dedicated -> t.backup_total.(link)
-  | Multiplexed -> Hashtbl.fold (fun _ w acc -> max w acc) t.spare_weight.(link) 0
+  | Multiplexed -> t.weights.(link).top
 
 let spare_deficit t ~link =
   max 0 (spare_required t ~link - Resources.spare_bw t.resources link)
@@ -206,10 +216,57 @@ let adjust_spare_after_unregister t link =
     Resources.shrink_spare t.resources ~link ~amount:(have - req)
   end
 
+(* Move group [g] of a link's weights from [w] to [w'], keeping [at] in
+   step.  Weight 0 is not counted. *)
+let move_weight r g w w' =
+  r.weight.(g) <- w';
+  if w > 0 then r.at.(w) <- r.at.(w) - 1;
+  if w' > 0 then r.at.(w') <- r.at.(w') + 1
+
+let raise_weight r g bw =
+  let w = r.weight.(g) in
+  let w' = w + bw in
+  if w' >= Array.length r.at then begin
+    let at = Array.make (max (w' + 1) (2 * Array.length r.at)) 0 in
+    Array.blit r.at 0 at 0 (Array.length r.at);
+    r.at <- at
+  end;
+  move_weight r g w w';
+  if w' > r.top then r.top <- w'
+
+(* Lowering a weight [w] by [bw] can only lower the maximum when [w] was
+   the last group at it, and then the new maximum lies in [[w - bw, w)]:
+   group [g] itself now sits at [w - bw].  So the rescan probes at most
+   [bw - 1] slots. *)
+let lower_weight r g bw =
+  let w = r.weight.(g) in
+  if w < bw then invalid_arg "Net_state: spare-weight underflow";
+  let w' = w - bw in
+  move_weight r g w w';
+  if w = r.top && r.at.(w) = 0 then begin
+    let v = ref (w - 1) in
+    while !v > w' && r.at.(!v) = 0 do
+      decr v
+    done;
+    r.top <- !v
+  end
+
+let rec raise_weights r bw = function
+  | [] -> ()
+  | g :: rest ->
+      raise_weight r g bw;
+      raise_weights r bw rest
+
+let rec lower_weights r bw = function
+  | [] -> ()
+  | g :: rest ->
+      lower_weight r g bw;
+      lower_weights r bw rest
+
 (* The registration arithmetic of one backup, without the spare
    adjustment: on every link of its route, the APLV counts for the edge-LSET
    of its primary (the backup-path register packet of §2.2), the backup
-   total and the SRLG spare weights.  The spare table is keyed by the
+   total and the SRLG spare weights.  The weights are keyed by the
    primary's {e failure domains} — the SRLG groups its edges belong to (one
    weight unit per group per backup, however many of the group's edges the
    primary crosses) — so {!spare_required} sizes the pool for the worst
@@ -220,11 +277,7 @@ let register_arith t ~bw ~primary_edges ~groups ~backup_path =
   List.iter
     (fun l ->
       Aplv.register t.aplv.(l) ~edge_lset:primary_edges;
-      List.iter
-        (fun g ->
-          let w = Option.value ~default:0 (Hashtbl.find_opt t.spare_weight.(l) g) in
-          Hashtbl.replace t.spare_weight.(l) g (w + bw))
-        groups;
+      raise_weights t.weights.(l) bw groups;
       t.backup_total.(l) <- t.backup_total.(l) + bw)
     (Path.links backup_path)
 
@@ -233,15 +286,7 @@ let unregister_arith t ~bw ~primary_edges ~groups ~backup_path =
   List.iter
     (fun l ->
       Aplv.unregister t.aplv.(l) ~edge_lset:primary_edges;
-      List.iter
-        (fun g ->
-          match Hashtbl.find_opt t.spare_weight.(l) g with
-          | None -> invalid_arg "Net_state: spare-weight underflow"
-          | Some w ->
-              if w < bw then invalid_arg "Net_state: spare-weight underflow"
-              else if w = bw then Hashtbl.remove t.spare_weight.(l) g
-              else Hashtbl.replace t.spare_weight.(l) g (w - bw))
-        groups;
+      lower_weights t.weights.(l) bw groups;
       t.backup_total.(l) <- t.backup_total.(l) - bw)
     (Path.links backup_path)
 
@@ -598,12 +643,12 @@ let speculate t f =
    reproduce.  Instead [Serial.dump] captures the minimal mutable truth —
    the raw resource pools, failure flags, odometer, and the connection
    table with routes as link-id lists — and [Serial.restore] rebuilds every
-   derived structure (APLV rows, SRLG spare weights, backup totals, primary
-   index) by replaying the registration {e arithmetic} only: no spare-pool
-   adjustment (pools are blitted verbatim afterwards), no journal events.
-   Registration is commutative counter arithmetic and every digest-visible
-   read of the spare-weight tables is sorted or aggregate, so the rebuilt
-   state is bit-identical under the accessor digest. *)
+   derived structure (APLV rows, SRLG spare weights with their maxima,
+   backup totals, primary index) by replaying the registration
+   {e arithmetic} only: no spare-pool adjustment (pools are blitted
+   verbatim afterwards), no journal events.  Registration is commutative
+   counter arithmetic, so the rebuilt state is bit-identical under the
+   accessor digest. *)
 
 module Serial = struct
   type conn_repr = {
@@ -662,7 +707,10 @@ module Serial = struct
     for l = 0 to links - 1 do
       Aplv.clear t.aplv.(l);
       t.backup_total.(l) <- 0;
-      Hashtbl.reset t.spare_weight.(l)
+      let r = t.weights.(l) in
+      Array.fill r.weight 0 (Array.length r.weight) 0;
+      Array.fill r.at 0 (Array.length r.at) 0;
+      r.top <- 0
     done;
     Hashtbl.reset t.conns;
     Array.iter Hashtbl.reset t.edge_primaries;
@@ -683,6 +731,8 @@ module Serial = struct
         in
         if conn.src <> Path.src primary || conn.dst <> Path.dst primary then
           invalid_arg "Net_state.Serial.restore: endpoint mismatch";
+        if conn.bw <= 0 then
+          invalid_arg "Net_state.Serial.restore: bandwidth must be positive";
         let primary_edges = edge_lset_of_path primary in
         let groups = Srlg.groups_of_edges t.srlg primary_edges in
         List.iter
@@ -757,25 +807,25 @@ let check_invariants t =
         t.conns;
       let issue = ref None in
       let fail fmt = Printf.ksprintf (fun s -> if !issue = None then issue := Some s) fmt in
-      (* Per link: rebuild a_{l,j} and the group weights in two scratch
-         rows, compare every entry, then zero the rows for the next link. *)
+      (* Per link: rebuild a_{l,j}, the group weights and their histogram
+         in scratch rows, compare every entry, then zero the rows for the
+         next link. *)
+      let groups = Srlg.group_count t.srlg in
       let expect_a = Array.make edges 0 in
-      let expect_w = Array.make (Srlg.group_count t.srlg) 0 in
+      let expect_w = Array.make groups 0 in
+      let at_len = Array.fold_left (fun n r -> max n (Array.length r.at)) 0 t.weights in
+      let expect_at = Array.make at_len 0 in
       for l = 0 to links - 1 do
         if Resources.prime_bw t.resources l <> expect_prime.(l) then
           fail "link %d: prime_bw %d, expected %d" l
             (Resources.prime_bw t.resources l) expect_prime.(l);
-        let backups = ref 0 and total = ref 0 and weighted = ref 0 in
+        let backups = ref 0 and total = ref 0 in
         List.iter
           (fun (bw, lset, groups) ->
             incr backups;
             total := !total + bw;
             List.iter (fun e -> expect_a.(e) <- expect_a.(e) + 1) lset;
-            List.iter
-              (fun g ->
-                if expect_w.(g) = 0 then incr weighted;
-                expect_w.(g) <- expect_w.(g) + bw)
-              groups)
+            List.iter (fun g -> expect_w.(g) <- expect_w.(g) + bw) groups)
           crossing.(l);
         let row = t.aplv.(l) in
         for j = 0 to edges - 1 do
@@ -789,20 +839,28 @@ let check_invariants t =
             !backups;
         if t.backup_total.(l) <> !total then
           fail "link %d: backup_total %d, expected %d" l t.backup_total.(l) !total;
-        (* Every stored weight is positive and expected, and there are as
-           many as expected: the table holds exactly the expected weights. *)
-        let weights = t.spare_weight.(l) in
-        Hashtbl.iter
-          (fun g w ->
-            if w <= 0 || w <> expect_w.(g) then
-              fail "link %d group %d: spare weight %d, expected %d" l g w expect_w.(g))
-          weights;
-        if Hashtbl.length weights <> !weighted then
-          fail "link %d: %d groups hold spare weight, expected %d" l
-            (Hashtbl.length weights) !weighted;
-        List.iter
-          (fun (_, _, groups) -> List.iter (fun g -> expect_w.(g) <- 0) groups)
-          crossing.(l);
+        let r = t.weights.(l) in
+        let top = ref 0 in
+        for g = 0 to groups - 1 do
+          let w = expect_w.(g) in
+          if r.weight.(g) <> w then
+            fail "link %d group %d: spare weight %d, expected %d" l g r.weight.(g) w;
+          if w > !top then top := w;
+          if w > 0 && w < at_len then expect_at.(w) <- expect_at.(w) + 1;
+          expect_w.(g) <- 0
+        done;
+        if r.top <> !top then
+          fail "link %d: cached maximum spare weight %d, expected %d" l r.top !top;
+        if !top >= Array.length r.at then
+          fail "link %d: weight histogram of length %d cannot count weight %d" l
+            (Array.length r.at) !top;
+        for v = 1 to at_len - 1 do
+          let have = if v < Array.length r.at then r.at.(v) else 0 in
+          if have <> expect_at.(v) then
+            fail "link %d: %d groups counted at spare weight %d, expected %d" l have v
+              expect_at.(v);
+          expect_at.(v) <- 0
+        done;
         let req = spare_required t ~link:l in
         let have = Resources.spare_bw t.resources l in
         if have > req then fail "link %d: spare %d exceeds requirement %d" l have req

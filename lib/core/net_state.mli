@@ -155,7 +155,10 @@ val spare_required : t -> link:int -> int
 (** Spare the policy wants on the link, in bandwidth units: [Multiplexed]
     → worst single-{e SRLG} activation burst (the generalised §5 rule;
     with singleton groups, exactly the paper's worst single edge);
-    [Dedicated] → total backup bandwidth. *)
+    [Dedicated] → total backup bandwidth.  O(1): each link keeps a dense
+    row of per-group weights with their maximum cached, updated by every
+    backup register and release; a release that lowers the maximum
+    rescans at most [bw] weight slots. *)
 
 val spare_deficit : t -> link:int -> int
 (** [max 0 (spare_required - spare_bw)]: positive iff conflicting backups
@@ -291,7 +294,8 @@ module Serial : sig
   (** Overwrite a same-topology state, in place, with the dumped truth.
       Emits no journal events.  Raises [Invalid_argument] on a topology
       shape mismatch, if a dumped route is not a valid path of the
-      state's graph, or inside a {!speculate}. *)
+      state's graph, on a non-positive bandwidth, or inside a
+      {!speculate}. *)
 end
 
 (** {1 Integrity} *)
@@ -300,8 +304,10 @@ val check_invariants : t -> (unit, string) result
 (** Deep check: resource invariants, each row's cached norm
     ({!check_routing_caches}), then everything rebuilt from the
     connection table and compared entry by entry — primary load per link,
-    every [a_{l,j}], each link's backup count, backup total and SRLG spare
-    weights — spare levels not above the policy requirement, and a
-    primary index that matches the connection table.  Reports the first
-    discrepancy, naming the link and edge or group.
-    O(connections × path length + links × edges); test and audit use. *)
+    every [a_{l,j}], each link's backup count and backup total, every
+    SRLG spare weight, the cached maximum weight {!spare_required} reads
+    and the count of groups at each weight — spare levels not above the
+    policy requirement, and a primary index that matches the connection
+    table.  Reports the first discrepancy, naming the link and edge or
+    group.  O(connections × path length + links × (edges + groups)); test
+    and audit use. *)

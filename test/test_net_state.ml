@@ -264,6 +264,77 @@ let test_drop () =
     (Resources.total_prime (Net_state.resources st));
   check_inv st
 
+(* Four backups share link 3->4; their one-hop primaries cross edges A
+   (bw 3), A (bw 1), B (bw 2) and C (bw 1), so the link's weights start at
+   A = 4, B = 2, C = 1.  Releasing A(3), B(2), A(1), C(1) in turn lowers
+   the maximum through the empty weight 3 (4 -> 2), then past a group
+   emptied while another holds the next weight (2 -> 1), then at a tie
+   (A and C both at 1: the maximum stays 1), then to nothing.  Under
+   [Dedicated] the requirement is the backup total: 7, 4, 2, 1, 0. *)
+let test_spare_maximum_steps_down () =
+  let admit_four policy =
+    let g, st = state ~policy () in
+    List.iter
+      (fun (id, bw, primary, backup) ->
+        ignore
+          (Net_state.admit st ~id ~bw ~primary:(path g primary)
+             ~backups:[ path g backup ]))
+      [
+        (1, 3, [ 0; 1 ], [ 0; 3; 4; 1 ]);
+        (2, 1, [ 0; 1 ], [ 0; 3; 4; 1 ]);
+        (3, 2, [ 6; 7 ], [ 6; 3; 4; 7 ]);
+        (4, 1, [ 7; 4 ], [ 7; 6; 3; 4 ]);
+      ];
+    (g, st)
+  in
+  List.iter
+    (fun (policy, name, steps) ->
+      let g, st = admit_four policy in
+      let shared = link g 3 4 in
+      let required () = Net_state.spare_required st ~link:shared in
+      Alcotest.(check int) (name ^ ": four backups") 4
+        (Net_state.backup_count_on_link st ~link:shared);
+      let first = required () in
+      let after =
+        List.map
+          (fun id ->
+            Net_state.release st ~id;
+            check_inv st;
+            Alcotest.(check int) (name ^ ": spare pool follows") (required ())
+              (Resources.spare_bw (Net_state.resources st) shared);
+            required ())
+          [ 1; 3; 2; 4 ]
+      in
+      Alcotest.(check (list int)) (name ^ ": requirement steps") steps (first :: after))
+    [
+      (Net_state.Multiplexed, "multiplexed", [ 4; 2; 1; 1; 0 ]);
+      (Net_state.Dedicated, "dedicated", [ 7; 4; 2; 1; 0 ]);
+    ]
+
+(* A checkpoint's bandwidths reach the weight rows unchecked by {!admit},
+   so [Serial.restore] refuses a non-positive one as [admit] does. *)
+let test_restore_rejects_non_positive_bw () =
+  let g, st = state () in
+  ignore
+    (Net_state.admit st ~id:1 ~bw:1 ~primary:(path g [ 0; 1 ])
+       ~backups:[ path g [ 0; 3; 4; 1 ] ]);
+  let r = Net_state.Serial.dump st in
+  List.iter
+    (fun bw ->
+      let bad =
+        { r with r_conns = List.map (fun c -> { c with Net_state.Serial.r_bw = bw }) r.r_conns }
+      in
+      let _, fresh = state () in
+      Alcotest.(check bool) (Printf.sprintf "bw %d rejected" bw) true
+        (try
+           Net_state.Serial.restore fresh bad;
+           false
+         with Invalid_argument _ -> true))
+    [ 0; -1 ];
+  let _, fresh = state () in
+  Net_state.Serial.restore fresh r;
+  check_inv fresh
+
 (* check_invariants rebuilds every a_{l,j} from the connection table, so a
    count injected behind Net_state's back is reported by link and edge. *)
 let test_invariants_catch_aplv_drift () =
@@ -299,6 +370,8 @@ let suite =
         Alcotest.test_case "degraded on spare shortage" `Quick test_degraded_when_no_room_for_spare;
         Alcotest.test_case "deficit repaired by release (§5)" `Quick test_deficit_reclaimed_after_release;
         Alcotest.test_case "dedicated policy" `Quick test_dedicated_policy;
+        Alcotest.test_case "spare maximum steps down on release" `Quick
+          test_spare_maximum_steps_down;
         Alcotest.test_case "primaries_crossing_edge" `Quick test_primaries_crossing_edge;
         Alcotest.test_case "promote backup (DRTP step 3)" `Quick test_promote_backup;
         Alcotest.test_case "promote without backup" `Quick test_promote_without_backup_rejected;
@@ -307,5 +380,7 @@ let suite =
         Alcotest.test_case "drop" `Quick test_drop;
         Alcotest.test_case "invariants catch APLV drift" `Quick
           test_invariants_catch_aplv_drift;
+        Alcotest.test_case "restore rejects non-positive bandwidth" `Quick
+          test_restore_rejects_non_positive_bw;
       ] );
   ]

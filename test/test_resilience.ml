@@ -199,22 +199,41 @@ let test_merge_schedules_drop_rule () =
 
 (* --- generalised spare rule --------------------------------------------- *)
 
-(* Oracle for the singleton model: spare on directed link l is the worst
-   single-edge activation burst, max_e Σ bw over (connection, backup)
-   pairs whose backup crosses l and whose primary crosses edge e. *)
-let singleton_spare_oracle state =
-  let g = Net_state.graph state in
-  let links = Graph.link_count g and edges = Graph.edge_count g in
-  let w = Array.make_matrix links edges 0 in
+(* Oracle for the generalised §5 rule: spare on directed link l is the
+   worst single-group activation burst, max_g Σ bw over (connection, backup)
+   pairs whose backup crosses l and whose primary crosses an edge of group
+   g.  Under the singleton model that is the worst single-edge burst. *)
+let spare_oracle state =
+  let g = Net_state.graph state and srlg = Net_state.srlg state in
+  let links = Graph.link_count g and groups = Srlg.group_count srlg in
+  let w = Array.make_matrix links groups 0 in
   Net_state.iter_conns state (fun c ->
-      let pedges = Path.Link_set.elements (Path.edge_set c.Net_state.primary) in
+      let pedges = Path.edge_set c.Net_state.primary in
+      let hit =
+        List.filter
+          (fun grp ->
+            List.exists
+              (fun e -> Path.Link_set.mem e pedges)
+              (Srlg.edges_of_group srlg grp))
+          (List.init groups Fun.id)
+      in
       List.iter
         (fun b ->
           List.iter
-            (fun l -> List.iter (fun e -> w.(l).(e) <- w.(l).(e) + c.Net_state.bw) pedges)
+            (fun l -> List.iter (fun grp -> w.(l).(grp) <- w.(l).(grp) + c.Net_state.bw) hit)
             (Path.links b))
         c.Net_state.backups);
   Array.init links (fun l -> Array.fold_left max 0 w.(l))
+
+(* [spare_required] equals the oracle on every link, and the deep audit
+   (which compares each weight and the cached maximum) passes. *)
+let spare_matches_oracle state =
+  let oracle = spare_oracle state in
+  let ok = ref (Net_state.check_invariants state = Ok ()) in
+  Array.iteri
+    (fun l want -> if Net_state.spare_required state ~link:l <> want then ok := false)
+    oracle;
+  !ok
 
 let prop_singleton_spare_equals_worst_edge =
   property ~count:40 "singleton SRLG spare = worst single-edge burst" seed_gen
@@ -222,12 +241,65 @@ let prop_singleton_spare_equals_worst_edge =
       let g = random_graph seed in
       let state = Net_state.create ~graph:g ~capacity:6 ~spare_policy:Net_state.Multiplexed in
       ignore (warm ~seed:(seed + 1) state);
-      let oracle = singleton_spare_oracle state in
-      let ok = ref true in
-      for l = 0 to Graph.link_count g - 1 do
-        if Net_state.spare_required state ~link:l <> oracle.(l) then ok := false
-      done;
-      !ok)
+      spare_matches_oracle state)
+
+(* A random walk of admissions (bw 1..4, two backups) and releases of live
+   connections, ids from [first]; returns the ids still live. *)
+let churn ~rng ~first ~steps state live =
+  let n = Graph.node_count (Net_state.graph state) in
+  let route = Routing.link_state_route_fn ~backup_count:2 Routing.Plsr ~with_backup:true in
+  let live = ref live in
+  for id = first to first + steps - 1 do
+    match !live with
+    | _ :: _ when Rng.int rng 3 = 0 ->
+        let victim = List.nth !live (Rng.int rng (List.length !live)) in
+        Net_state.release state ~id:victim;
+        live := List.filter (( <> ) victim) !live
+    | _ -> (
+        let src, dst = random_pair rng n in
+        let bw = 1 + Rng.int rng 4 in
+        match route state ~src ~dst ~bw with
+        | Ok { Routing.primary; backups }
+          when Net_state.admissible state ~bw ~primary ~backups ->
+            ignore (Net_state.admit state ~id ~bw ~primary ~backups);
+            live := id :: !live
+        | _ -> ())
+  done;
+  !live
+
+(* Under churn — releases lower weights, so the cached maximum must be
+   rescanned — the requirement equals the oracle under both the singleton
+   and a random-partition model: after the walk, inside and after a
+   speculation that admits and releases, and on a fresh state restored
+   from a dump. *)
+let prop_spare_equals_worst_group_under_churn =
+  property ~count:30 "SRLG spare = worst single-group burst under churn" seed_gen
+    (fun seed ->
+      let g = random_graph seed in
+      let edge_count = Graph.edge_count g in
+      List.for_all
+        (fun srlg ->
+          let mk () =
+            Net_state.create_srlg ~srlg ~graph:g ~capacity:12
+              ~spare_policy:Net_state.Multiplexed
+          in
+          let state = mk () in
+          let rng = Rng.create (seed + 3) in
+          let live = churn ~rng ~first:0 ~steps:80 state [] in
+          let walked = spare_matches_oracle state in
+          let inside =
+            Net_state.speculate state (fun () ->
+                ignore (churn ~rng ~first:1000 ~steps:30 state live);
+                spare_matches_oracle state)
+          in
+          let after = spare_matches_oracle state in
+          let fresh = mk () in
+          Net_state.Serial.restore fresh (Net_state.Serial.dump state);
+          walked && inside && after && spare_matches_oracle fresh)
+        [
+          Srlg.singletons ~edge_count;
+          Srlg.random_partition ~seed:(seed + 7) ~edge_count ~mean_size:3;
+        ])
 
 let prop_spare_monotone_under_coarsening =
   property ~count:40 "spare_required monotone under merge_groups" seed_gen
@@ -427,6 +499,7 @@ let suite =
         Alcotest.test_case "partitioning group -> Lost, no raise" `Quick
           test_partitioning_group_is_lost_not_raise;
         prop_singleton_spare_equals_worst_edge;
+        prop_spare_equals_worst_group_under_churn;
         prop_spare_monotone_under_coarsening;
         prop_chain_equals_link_state_under_singletons;
         prop_evaluate_srlg_equals_evaluate_under_singletons;
