@@ -166,11 +166,15 @@ let test_flood_route =
 
 let test_aplv =
   let lset = [ 3; 17; 42; 55 ] in
-  let aplv = Drtp.Aplv.create ~domains:(Dr_topo.Graph.edge_count graph3) in
+  let aplv =
+    Drtp.Aplv.create
+      ~links:(Dr_topo.Graph.link_count graph3)
+      ~edges:(Dr_topo.Graph.edge_count graph3)
+  in
   Test.make ~name:"aplv/register-unregister"
     (Staged.stage (fun () ->
-         Drtp.Aplv.register aplv ~edge_lset:lset;
-         Drtp.Aplv.unregister aplv ~edge_lset:lset))
+         Drtp.Aplv.register aplv ~link:0 ~edge_lset:lset;
+         Drtp.Aplv.unregister aplv ~link:0 ~edge_lset:lset))
 
 let test_cv_pack =
   (* D-LSR's advertisement payload: pack one link's conflict vector. *)

@@ -17,8 +17,8 @@ open Drtp
 
 let print_link_state state graph label link =
   Format.printf "%s (link %d, %d->%d): APLV %a, spare required %d unit(s)@."
-    label link (Graph.link_src graph link) (Graph.link_dst graph link) Aplv.pp
-    (Net_state.aplv state link)
+    label link (Graph.link_src graph link) (Graph.link_dst graph link) (Aplv.pp ~link)
+    (Net_state.aplv state)
     (Net_state.spare_required state ~link)
 
 let () =
@@ -63,7 +63,7 @@ let () =
   Format.printf
     "D-LSR conflict count on 0->3 against D3's primary: %d (B1's primary P1 \
      shares failure domains with P3)@."
-    (Aplv.conflict_count_with (Net_state.aplv state l03) ~edge_lset:p3_edges);
+    (Aplv.conflict_count_with (Net_state.aplv state) ~link:l03 ~edge_lset:p3_edges);
 
   (match Routing.find_backup Routing.Dlsr state ~primary:p3 ~bw:1 with
   | None -> Format.printf "no backup found (unexpected)@."

@@ -13,14 +13,14 @@ let get t j =
   let byte = j / 8 and bit = j mod 8 in
   Char.code (Bytes.get t.bits byte) land (1 lsl bit) <> 0
 
-let of_aplv aplv ~domains =
+let of_aplv aplv ~link ~domains =
   if domains < 0 then invalid_arg "Conflict_vector.of_aplv: negative size";
   let t = make_empty domains in
   List.iter
     (fun j ->
       if j >= domains then invalid_arg "Conflict_vector.of_aplv: domain out of range";
       set_bit t j)
-    (Aplv.support aplv);
+    (Aplv.support aplv ~link);
   t
 
 let of_bits bits =

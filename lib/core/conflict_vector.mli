@@ -13,9 +13,10 @@
 type t
 (** Immutable packed bit vector. *)
 
-val of_aplv : Aplv.t -> domains:int -> t
-(** Snapshot the conflict bits of an APLV.  [domains] is the number of
-    failure domains in the network (bit-vector length, the paper's N). *)
+val of_aplv : Aplv.t -> link:int -> domains:int -> t
+(** Snapshot the conflict bits of one link's APLV.  [domains] is the
+    number of failure domains in the network (bit-vector length, the
+    paper's N). *)
 
 val of_bits : bool array -> t
 

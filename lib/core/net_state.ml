@@ -52,9 +52,9 @@ type weights = {
 type t = {
   graph : Graph.t;
   resources : Resources.t;
-  aplv : Aplv.t array;
-      (* per directed link: the dense row of a_{l,j} over failure edges,
-         the one store every routing cost term reads *)
+  aplv : Aplv.t;
+      (* every directed link's a_{l,j} over failure edges, edge-major: the
+         one store every routing cost term reads *)
   weights : weights array; (* per directed link *)
   srlg : Srlg.t;
   backup_total : int array; (* per directed link: sum of backup bandwidths *)
@@ -65,6 +65,12 @@ type t = {
   mutable aplv_updates : int;
   mutable speculating : int; (* open {!speculate} calls; 0 = log nothing *)
   mutable undo : undo list; (* newest first *)
+  mutable audit_matrix : int array;
+      (* {!check_invariants}' rebuilt APLV matrix: allocated by the first
+         audit of the state and reused, zeroed, by later ones, so periodic
+         audits allocate no matrix-sized array (a fresh one per audit goes
+         straight to the major heap and drives the major GC inside the
+         audit).  Meaningless outside an audit. *)
 }
 
 let make ~srlg ~graph ~capacity ~spare_policy =
@@ -81,7 +87,7 @@ let make ~srlg ~graph ~capacity ~spare_policy =
   {
     graph;
     resources = Resources.create ~link_count:links ~capacity;
-    aplv = Array.init links (fun _ -> Aplv.create ~domains:edges);
+    aplv = Aplv.create ~links ~edges;
     weights =
       Array.init links (fun _ ->
           { weight = Array.make (Srlg.group_count srlg) 0; at = Array.make 8 0; top = 0 });
@@ -94,6 +100,7 @@ let make ~srlg ~graph ~capacity ~spare_policy =
     aplv_updates = 0;
     speculating = 0;
     undo = [];
+    audit_matrix = [||];
   }
 
 let create ~graph ~capacity ~spare_policy =
@@ -106,16 +113,14 @@ let graph t = t.graph
 let srlg t = t.srlg
 let resources t = t.resources
 let spare_policy t = t.spare_policy
-let aplv t l = t.aplv.(l)
+let aplv t = t.aplv
 let aplv_updates t = t.aplv_updates
-let aplv_norm t l = Aplv.norm1 t.aplv.(l)
+let aplv_norm t l = Aplv.norm1 t.aplv ~link:l
 
-let conflict_count t ~link ~edge_lset = Aplv.conflict_count_with t.aplv.(link) ~edge_lset
-
-let conflict_count_arr t ~link ~edges ~n = Aplv.conflict_count_arr t.aplv.(link) ~edges ~n
+let conflict_count t ~link ~edge_lset = Aplv.conflict_count_with t.aplv ~link ~edge_lset
 
 let conflict_vector t l =
-  Conflict_vector.of_aplv t.aplv.(l) ~domains:(Graph.edge_count t.graph)
+  Conflict_vector.of_aplv t.aplv ~link:l ~domains:(Graph.edge_count t.graph)
 
 let edge_lset_of_path p = Path.Link_set.elements (Path.edge_set p)
 
@@ -134,7 +139,7 @@ let total_spare_deficit t =
   done;
   !total
 
-let backup_count_on_link t ~link = Aplv.backup_count t.aplv.(link)
+let backup_count_on_link t ~link = Aplv.backup_count t.aplv ~link
 
 (* ---- speculation undo log ------------------------------------------------
    While a {!speculate} call is open, every mutation below first pushes
@@ -276,7 +281,7 @@ let rec lower_weights r bw = function
 let register_arith t ~bw ~primary_edges ~groups ~backup_path =
   List.iter
     (fun l ->
-      Aplv.register t.aplv.(l) ~edge_lset:primary_edges;
+      Aplv.register t.aplv ~link:l ~edge_lset:primary_edges;
       raise_weights t.weights.(l) bw groups;
       t.backup_total.(l) <- t.backup_total.(l) + bw)
     (Path.links backup_path)
@@ -285,7 +290,7 @@ let register_arith t ~bw ~primary_edges ~groups ~backup_path =
 let unregister_arith t ~bw ~primary_edges ~groups ~backup_path =
   List.iter
     (fun l ->
-      Aplv.unregister t.aplv.(l) ~edge_lset:primary_edges;
+      Aplv.unregister t.aplv ~link:l ~edge_lset:primary_edges;
       lower_weights t.weights.(l) bw groups;
       t.backup_total.(l) <- t.backup_total.(l) - bw)
     (Path.links backup_path)
@@ -643,7 +648,7 @@ let speculate t f =
    reproduce.  Instead [Serial.dump] captures the minimal mutable truth —
    the raw resource pools, failure flags, odometer, and the connection
    table with routes as link-id lists — and [Serial.restore] rebuilds every
-   derived structure (APLV rows, SRLG spare weights with their maxima,
+   derived structure (the APLV matrix, SRLG spare weights with their maxima,
    backup totals, primary index) by replaying the registration
    {e arithmetic} only: no spare-pool adjustment (pools are blitted
    verbatim afterwards), no journal events.  Registration is commutative
@@ -704,8 +709,8 @@ module Serial = struct
     then invalid_arg "Net_state.Serial.restore: topology shape mismatch";
     if t.speculating > 0 then
       invalid_arg "Net_state.Serial.restore: inside a speculation";
+    Aplv.clear t.aplv;
     for l = 0 to links - 1 do
-      Aplv.clear t.aplv.(l);
       t.backup_total.(l) <- 0;
       let r = t.weights.(l) in
       Array.fill r.weight 0 (Array.length r.weight) 0;
@@ -748,26 +753,37 @@ module Serial = struct
     t.aplv_updates <- r.r_aplv_updates
 end
 
-(* Each row's cached [‖APLV_l‖₁] against the row's sum.  The counts
-   themselves are checked against the connection table by
+(* Each link's cached [‖APLV_l‖₁] against the sum of its entries, summed
+   column by column so the matrix is read once in memory order.  The
+   counts themselves are checked against the connection table by
    {!check_invariants}. *)
 let check_routing_caches t =
-  let edges = Graph.edge_count t.graph in
+  let links = Graph.link_count t.graph in
+  let sums = Array.make links 0 and col = Array.make links 0 in
+  for j = 0 to Graph.edge_count t.graph - 1 do
+    Aplv.blit_column t.aplv ~edge:j col;
+    for l = 0 to links - 1 do
+      sums.(l) <- sums.(l) + col.(l)
+    done
+  done;
   let rec check l =
-    if l = Array.length t.aplv then Ok ()
-    else
-      let row = t.aplv.(l) in
-      let sum = ref 0 in
-      for j = 0 to edges - 1 do
-        sum := !sum + Aplv.get row j
-      done;
-      if !sum <> Aplv.norm1 row then
-        Error
-          (Printf.sprintf "link %d: cached aplv_norm %d, row sums to %d" l
-             (Aplv.norm1 row) !sum)
-      else check (l + 1)
+    if l = links then Ok ()
+    else if sums.(l) <> Aplv.norm1 t.aplv ~link:l then
+      Error
+        (Printf.sprintf "link %d: cached aplv_norm %d, row sums to %d" l
+           (Aplv.norm1 t.aplv ~link:l) sums.(l))
+    else check (l + 1)
   in
   check 0
+
+(* Count one backup crossing [link] in column [e] of an edge-major matrix
+   of [links] links, for every edge [e] of its primary's [lset]. *)
+let rec count_in_columns expect ~links link = function
+  | [] -> ()
+  | e :: rest ->
+      let i = (e * links) + link in
+      expect.(i) <- expect.(i) + 1;
+      count_in_columns expect ~links link rest
 
 let check_invariants t =
   match Resources.check_invariants t.resources with
@@ -779,9 +795,17 @@ let check_invariants t =
       let links = Graph.link_count t.graph in
       let edges = Graph.edge_count t.graph in
       (* One pass over the connection table: the expected primary load per
-         link, the primary-index entries, and per link the (bandwidth,
-         primary LSET, groups) of every backup crossing it. *)
+         link, the primary-index entries, the expected APLV matrix in the
+         store's layout (a_{l,j} at [j * links + l]), and per link the
+         (bandwidth, SRLG groups of the primary) of every backup crossing
+         it. *)
       let expect_prime = Array.make links 0 in
+      let expect_a =
+        if Array.length t.audit_matrix < links * edges then
+          t.audit_matrix <- Array.make (links * edges) 0
+        else Array.fill t.audit_matrix 0 (links * edges) 0;
+        t.audit_matrix
+      in
       let crossing = Array.make links [] in
       (* Primary-index entries the connection table accounts for, each
          checked to be bound to its connection's own record. *)
@@ -799,19 +823,32 @@ let check_invariants t =
               | Some c when c == conn -> ()
               | _ -> if !index_miss = None then index_miss := Some (e, conn.id))
             lset;
-          let backup = (conn.bw, lset, Srlg.groups_of_edges t.srlg lset) in
+          let backup = (conn.bw, Srlg.groups_of_edges t.srlg lset) in
           List.iter
             (fun b ->
-              List.iter (fun l -> crossing.(l) <- backup :: crossing.(l)) (Path.links b))
+              List.iter
+                (fun l ->
+                  crossing.(l) <- backup :: crossing.(l);
+                  count_in_columns expect_a ~links l lset)
+                (Path.links b))
             conn.backups)
         t.conns;
       let issue = ref None in
       let fail fmt = Printf.ksprintf (fun s -> if !issue = None then issue := Some s) fmt in
-      (* Per link: rebuild a_{l,j}, the group weights and their histogram
-         in scratch rows, compare every entry, then zero the rows for the
-         next link. *)
+      (* The stored matrix against the rebuilt one, column by column: one
+         pass over both in memory order. *)
+      let have_a = Array.make links 0 in
+      for j = 0 to edges - 1 do
+        Aplv.blit_column t.aplv ~edge:j have_a;
+        for l = 0 to links - 1 do
+          let want = expect_a.((j * links) + l) in
+          if have_a.(l) <> want then
+            fail "link %d edge %d: APLV count %d, expected %d" l j have_a.(l) want
+        done
+      done;
+      (* Per link: rebuild the group weights and their histogram in scratch
+         rows, compare every entry, then zero the rows for the next link. *)
       let groups = Srlg.group_count t.srlg in
-      let expect_a = Array.make edges 0 in
       let expect_w = Array.make groups 0 in
       let at_len = Array.fold_left (fun n r -> max n (Array.length r.at)) 0 t.weights in
       let expect_at = Array.make at_len 0 in
@@ -821,22 +858,14 @@ let check_invariants t =
             (Resources.prime_bw t.resources l) expect_prime.(l);
         let backups = ref 0 and total = ref 0 in
         List.iter
-          (fun (bw, lset, groups) ->
+          (fun (bw, groups) ->
             incr backups;
             total := !total + bw;
-            List.iter (fun e -> expect_a.(e) <- expect_a.(e) + 1) lset;
             List.iter (fun g -> expect_w.(g) <- expect_w.(g) + bw) groups)
           crossing.(l);
-        let row = t.aplv.(l) in
-        for j = 0 to edges - 1 do
-          if Aplv.get row j <> expect_a.(j) then
-            fail "link %d edge %d: APLV count %d, expected %d" l j (Aplv.get row j)
-              expect_a.(j);
-          expect_a.(j) <- 0
-        done;
-        if Aplv.backup_count row <> !backups then
-          fail "link %d: %d backups registered, expected %d" l (Aplv.backup_count row)
-            !backups;
+        if Aplv.backup_count t.aplv ~link:l <> !backups then
+          fail "link %d: %d backups registered, expected %d" l
+            (Aplv.backup_count t.aplv ~link:l) !backups;
         if t.backup_total.(l) <> !total then
           fail "link %d: backup_total %d, expected %d" l t.backup_total.(l) !total;
         let r = t.weights.(l) in

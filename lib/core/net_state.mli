@@ -4,9 +4,14 @@
     One value of this type holds, for a given topology:
     - per-link bandwidth pools ({!Resources});
     - per-link APLVs, updated from the primary-route LSETs carried by
-      backup-path register/release packets (paper §2.2) — one dense
-      {!Aplv.t} row per directed link, the only store of [a_{i,j}]: P-LSR's
-      [‖APLV_i‖₁] and D-LSR's [CV_i] are read from it;
+      backup-path register/release packets (paper §2.2) — one {!Aplv.t}
+      matrix over every directed link, the only store of [a_{i,j}]:
+      P-LSR's [‖APLV_i‖₁] and D-LSR's [CV_i] are read from it.  The matrix
+      is edge-major ([a_{l,j}] at [j * links + l]) because D-LSR prices
+      every link of a backup search by [Σ_{j ∈ LSET(P_x)} (a_{l,j} > 0)]:
+      edge-major, that is one contiguous scan per primary edge
+      ({!Aplv.conflict_counts}) instead of [|LSET|] scattered reads per
+      link;
     - the connection table (primary route, backup routes, bandwidth) — a
       DR-connection has one primary and {e one or more} backup channels
       (paper §2), held in priority order;
@@ -73,29 +78,26 @@ val spare_policy : t -> spare_policy
 val srlg : t -> Dr_resilience.Srlg.t
 (** The installed shared-risk-group model. *)
 
-val aplv : t -> int -> Aplv.t
-(** The APLV row of a directed link: the state's one store of its
+val aplv : t -> Aplv.t
+(** The APLV matrix of every directed link: the state's one store of
     [a_{l,j}].  Do not mutate it (tests do, to inject drift that
     {!check_invariants} must catch). *)
 
 val aplv_norm : t -> int -> int
-(** [‖APLV_l‖₁] of a directed link, [Aplv.norm1 (aplv t l)]: the row's
-    cached sum, P-LSR's per-link cost term. *)
+(** [‖APLV_l‖₁] of a directed link, [Aplv.norm1 (aplv t) ~link:l]: the
+    link's cached sum, P-LSR's per-link cost term. *)
 
 val conflict_count : t -> link:int -> edge_lset:int list -> int
-(** D-LSR's cost term [Σ_{j ∈ edge_lset} (a_{link,j} > 0 ? 1 : 0)],
-    [Aplv.conflict_count_with (aplv t link) ~edge_lset]. *)
-
-val conflict_count_arr : t -> link:int -> edges:int array -> n:int -> int
-(** {!conflict_count} over the first [n] entries of [edges] — the
-    allocation-free form the routing fast path uses (the query's primary
-    LSET staged once into a workspace array). *)
+(** D-LSR's cost term [Σ_{j ∈ edge_lset} (a_{link,j} > 0 ? 1 : 0)] for one
+    link, [Aplv.conflict_count_with (aplv t) ~link ~edge_lset].  The
+    backup search prices every link at once with
+    {!Aplv.conflict_counts}. *)
 
 val check_routing_caches : t -> (unit, string) result
-(** Check every row's cached [‖APLV_l‖₁] against the sum of its entries
-    and report the first link where they differ.  O(links × edges).
-    {!check_invariants} runs it first, then checks every entry against
-    the connection table. *)
+(** Check every link's cached [‖APLV_l‖₁] against the sum of its entries
+    and report the first link where they differ.  One pass over the
+    matrix in memory order, O(links × edges).  {!check_invariants} runs
+    it first, then checks every entry against the connection table. *)
 
 val conflict_vector : t -> int -> Conflict_vector.t
 (** Packed CV snapshot of a link (D-LSR's advertisement payload). *)
@@ -248,7 +250,7 @@ val speculate : t -> (unit -> 'a) -> 'a
 (** [speculate t f] runs [f ()] and then undoes every mutation [f] made to
     [t], whether [f] returns or raises; an exception is re-raised after the
     undo.  Afterwards the state is bit-identical to the state before —
-    resource pools, APLV rows, backup totals, SRLG spare weights,
+    resource pools, the APLV matrix, backup totals, SRLG spare weights,
     the connection table (the same physical [conn] records, with their
     fields restored), the primary index, failure flags and the
     [aplv_updates] odometer.  Speculations nest.  {!Serial.restore} must
@@ -262,7 +264,7 @@ val speculate : t -> (unit -> 'a) -> 'a
     admissions would not reproduce.  [Serial.dump] therefore captures the
     minimal mutable truth (raw resource pools, failure flags, odometer,
     connection table with routes as link-id lists) and [Serial.restore]
-    rebuilds every derived structure — APLV rows, SRLG spare weights,
+    rebuilds every derived structure — the APLV matrix, SRLG spare weights,
     backup totals, the primary index — by replaying the
     registration arithmetic only, then blitting the pools verbatim.  The
     result is bit-identical under the accessor digest; used by
@@ -301,10 +303,11 @@ end
 (** {1 Integrity} *)
 
 val check_invariants : t -> (unit, string) result
-(** Deep check: resource invariants, each row's cached norm
+(** Deep check: resource invariants, each link's cached norm
     ({!check_routing_caches}), then everything rebuilt from the
-    connection table and compared entry by entry — primary load per link,
-    every [a_{l,j}], each link's backup count and backup total, every
+    connection table and compared entry by entry — every [a_{l,j}] (the
+    matrix rebuilt and compared column by column, in its memory order),
+    primary load per link, each link's backup count and backup total, every
     SRLG spare weight, the cached maximum weight {!spare_required} reads
     and the count of groups at each weight — spare levels not above the
     policy requirement, and a primary index that matches the connection

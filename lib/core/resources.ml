@@ -27,6 +27,14 @@ let spare_bw t l = t.spare.(l)
 let free t l = t.capacity.(l) - t.prime.(l) - t.spare.(l)
 let available_for_backup t l = t.capacity.(l) - t.prime.(l)
 
+let available_for_backup_into t dst =
+  let n = Array.length t.capacity in
+  if Array.length dst < n then
+    invalid_arg "Resources.available_for_backup_into: short destination";
+  for l = 0 to n - 1 do
+    dst.(l) <- t.capacity.(l) - t.prime.(l)
+  done
+
 let primary_feasible t ~link ~bw = free t link >= bw
 let backup_feasible t ~link ~bw = available_for_backup t link >= bw
 

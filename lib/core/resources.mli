@@ -38,6 +38,12 @@ val free : t -> int -> int
 val available_for_backup : t -> int -> int
 (** [capacity - prime_bw]: un-allocated plus the shared spare pool. *)
 
+val available_for_backup_into : t -> int array -> unit
+(** [available_for_backup_into t dst] writes {!available_for_backup} of
+    every link [l] into [dst.(l)], in one pass (the backup search prices
+    every link per query).  Raises [Invalid_argument] if [dst] is shorter
+    than {!link_count}. *)
+
 val primary_feasible : t -> link:int -> bw:int -> bool
 val backup_feasible : t -> link:int -> bw:int -> bool
 

@@ -165,15 +165,14 @@ let backup_link_cost scheme state ~primary ~bw =
 (* --- workspace fast path -------------------------------------------------- *)
 
 (* Per-domain routing workspace: epoch-stamped membership arrays replacing
-   the per-query [Path.Link_set] values of {!backup_link_verdict_general}.
-   A query marks its primary/earlier links and edges once (stamping slots
-   with the query's epoch), then every Dijkstra relaxation answers "is
-   this link on the primary?" with one array read instead of a balanced
-   tree descent.  The primary's edge LSET is also staged into a flat array
-   so D-LSR's conflict term is a tight loop over the link's dense APLV
-   row.  One workspace per domain (Domain.DLS) keeps
-   [--jobs N] pools race-free; the cost closures built on it are consumed
-   within a single search, before any other query reuses the epoch. *)
+   the per-query [Path.Link_set] values of {!backup_link_verdict_general},
+   and the query's cost row.  A query marks its primary/earlier links and
+   edges once (stamping slots with the query's epoch) and stages the
+   primary's edge LSET into a flat array; {!fill_cost_row} then prices
+   every link in one pass into [row], which the search reads.  One
+   workspace per domain (Domain.DLS) keeps [--jobs N] pools race-free; a
+   row is consumed by a single search, before any other query in the
+   domain refills it. *)
 module Ws = struct
   type t = {
     mutable prim_link : int array; (* per link: epoch when on the primary *)
@@ -186,6 +185,11 @@ module Ws = struct
     mutable earl_group : int array; (* per SRLG: epoch when under an earlier backup *)
     mutable pedges : int array; (* the primary's edge LSET, staged *)
     mutable pedge_n : int;
+    mutable term : int array;
+        (* per link: the scheme's conflict term, D-LSR's Σ_j c_{l,j} or
+           P-LSR's ‖APLV_l‖₁ *)
+    mutable avail : int array; (* per link: capacity - prime_bw *)
+    mutable row : float array; (* per link: the query's backup cost *)
     mutable epoch : int;
   }
 
@@ -200,6 +204,9 @@ module Ws = struct
       earl_group = [||];
       pedges = [||];
       pedge_n = 0;
+      term = [||];
+      avail = [||];
+      row = [||];
       epoch = 0;
     }
 
@@ -210,7 +217,10 @@ module Ws = struct
     if Array.length ws.prim_link < links then begin
       ws.prim_link <- Array.make links 0;
       ws.earl_link <- Array.make links 0;
-      ws.earl_n <- Array.make links 0
+      ws.earl_n <- Array.make links 0;
+      ws.term <- Array.make links 0;
+      ws.avail <- Array.make links 0;
+      ws.row <- Array.make links 0.0
     end;
     if Array.length ws.prim_edge < edges then begin
       ws.prim_edge <- Array.make edges 0;
@@ -225,20 +235,28 @@ module Ws = struct
     ws
 end
 
-(* Allocation-free twin of {!backup_link_cost_general}.  Chases the same
-   decomposition — [q +. conflict +. eps] in {!parts_total}'s association
-   order, with the conflict term read from {!Net_state}'s incremental
-   caches — so its finite values are bit-identical to the public cost
-   (asserted by the differential harness against {!Routing_reference}). *)
-let fast_backup_link_cost scheme state ~primary ~earlier_backups ~bw =
+(* Fill the workspace's cost row for one backup query: [row.(l)] is the
+   value {!backup_link_cost_general} gives link [l] — [q +. conflict +.
+   eps] in {!parts_total}'s association order, or [infinity] when the
+   link is dead or short of bandwidth — bit for bit (the differential
+   harness compares every entry with {!Routing_reference}'s verdicts).
+   Liveness and the Q term belong to an edge and are computed once for
+   its two links [2e] and [2e + 1] ({!Graph}'s numbering).  The per-link
+   inputs are copied into the workspace first, each in one call: D-LSR's
+   term from one {!Aplv.conflict_counts} pass, P-LSR's from the cached
+   norms, and the bandwidth available to backups.  Returns the row's
+   workspace. *)
+let fill_cost_row scheme state ~primary ~earlier_backups ~bw =
   let graph = Net_state.graph state in
   let resources = Net_state.resources state in
+  let aplv = Net_state.aplv state in
   let srlg = Net_state.srlg state in
   let singleton = Srlg.is_singleton srlg in
+  let edges = Graph.edge_count graph in
   let ws =
     Ws.get
       ~groups:(if singleton then 0 else Srlg.group_count srlg)
-      ~links:(Graph.link_count graph) ~edges:(Graph.edge_count graph) ()
+      ~links:(Graph.link_count graph) ~edges ()
   in
   let ep = ws.Ws.epoch in
   let prim_link = ws.Ws.prim_link
@@ -248,7 +266,10 @@ let fast_backup_link_cost scheme state ~primary ~earlier_backups ~bw =
   and earl_edge = ws.Ws.earl_edge
   and prim_group = ws.Ws.prim_group
   and earl_group = ws.Ws.earl_group
-  and pedges = ws.Ws.pedges in
+  and pedges = ws.Ws.pedges
+  and term = ws.Ws.term
+  and avail = ws.Ws.avail
+  and row = ws.Ws.row in
   List.iter (fun l -> prim_link.(l) <- ep) (Path.links primary);
   let n = ref 0 in
   Path.Link_set.iter
@@ -281,44 +302,63 @@ let fast_backup_link_cost scheme state ~primary ~earlier_backups ~bw =
               (Srlg.groups_of_edge_arr srlg e))
         (Path.edge_set b))
     earlier_backups;
-  let pedge_n = ws.Ws.pedge_n in
-  fun l ->
-    let own_shares =
-      (if prim_link.(l) = ep then 1 else 0)
-      + if earl_link.(l) = ep then earl_n.(l) else 0
+  (match scheme with
+  | Dlsr -> Aplv.conflict_counts aplv ~edges:pedges ~n:ws.Ws.pedge_n ~into:term
+  | Plsr -> Aplv.blit_norms aplv term
+  | Spf -> ());
+  Resources.available_for_backup_into resources avail;
+  for e = 0 to edges - 1 do
+    let dead = Net_state.edge_failed state ~edge:e in
+    let q =
+      if singleton then
+        (if prim_edge.(e) = ep then q_constant else 0.0)
+        +. if earl_edge.(e) = ep then q_constant else 0.0
+      else
+        (* SRLG generalisation: the link shares a failure domain when any
+           group owning its edge is stamped.  Kept as a separate branch
+           so the singleton term above stays the pre-SRLG code verbatim
+           (and bit-identical). *)
+        let owners = Srlg.groups_of_edge_arr srlg e in
+        (if Array.exists (fun g -> prim_group.(g) = ep) owners then q_constant
+         else 0.0)
+        +.
+        if Array.exists (fun g -> earl_group.(g) = ep) owners then q_constant
+        else 0.0
     in
-    let required = bw * (1 + own_shares) in
-    if not (link_alive state l) then infinity
-    else if not (Resources.backup_feasible resources ~link:l ~bw:required) then
-      infinity
-    else
-      let e = Graph.edge_of_link l in
-      let q =
-        if singleton then
-          (if prim_edge.(e) = ep then q_constant else 0.0)
-          +. if earl_edge.(e) = ep then q_constant else 0.0
-        else
-          (* SRLG generalisation: the link shares a failure domain when any
-             group owning its edge is stamped.  Kept as a separate branch
-             so the singleton hot path above stays the pre-SRLG code
-             verbatim (and bit-identical). *)
-          let owners = Srlg.groups_of_edge_arr srlg e in
-          (if Array.exists (fun g -> prim_group.(g) = ep) owners then
-             q_constant
-           else 0.0)
-          +.
-          if Array.exists (fun g -> earl_group.(g) = ep) owners then q_constant
-          else 0.0
+    for l = 2 * e to (2 * e) + 1 do
+      let own_shares =
+        (if prim_link.(l) = ep then 1 else 0)
+        + if earl_link.(l) = ep then earl_n.(l) else 0
       in
-      match scheme with
-      | Spf -> q +. 1.0 +. 0.0
-      | Plsr -> q +. float_of_int (Net_state.aplv_norm state l) +. epsilon
-      | Dlsr ->
-          q
-          +. float_of_int
-               (Net_state.conflict_count_arr state ~link:l ~edges:pedges
-                  ~n:pedge_n)
-          +. epsilon
+      row.(l) <-
+        (if dead || avail.(l) < bw * (1 + own_shares) then infinity
+         else
+           match scheme with
+           | Spf -> q +. 1.0 +. 0.0
+           | Plsr | Dlsr -> q +. float_of_int term.(l) +. epsilon)
+    done
+  done;
+  ws
+
+let backup_cost_row ?(earlier_backups = []) scheme state ~primary ~bw =
+  let ws = fill_cost_row scheme state ~primary ~earlier_backups ~bw in
+  Array.sub ws.Ws.row 0 (Graph.link_count (Net_state.graph state))
+
+(* The backup search over a filled cost row: Dijkstra, or with a hop
+   budget the layered dynamic program. *)
+let search_row ?max_hops graph row ~src ~dst =
+  let found =
+    match max_hops with
+    | None -> Shortest_path.dijkstra_path graph ~cost:row ~src ~dst
+    | Some h ->
+        (* QoS-bounded backup (paper §2: a backup longer than the delay
+           budget allows is useless): cheapest conflict cost within the hop
+           budget. *)
+        Dr_topo.Constrained_path.cheapest_within_hops graph
+          ~cost:(fun l -> row.(l))
+          ~src ~dst ~max_hops:h
+  in
+  Option.map snd found
 
 (* Journal the chosen backup with its per-link cost decomposition.  The
    network state is unchanged during route computation, so re-deriving the
@@ -350,24 +390,10 @@ let journal_backup_chosen scheme state ~primary ~earlier_backups ~bw path =
        })
 
 let find_backup_general ?max_hops scheme state ~primary ~earlier_backups ~bw =
-  let cost = fast_backup_link_cost scheme state ~primary ~earlier_backups ~bw in
-  let graph = Net_state.graph state in
-  let src = Path.src primary and dst = Path.dst primary in
+  let ws = fill_cost_row scheme state ~primary ~earlier_backups ~bw in
   let found =
-    match max_hops with
-    | None -> (
-        match Shortest_path.dijkstra_path graph ~cost ~src ~dst with
-        | None -> None
-        | Some (_, p) -> Some p)
-    | Some h -> (
-        (* QoS-bounded backup (paper §2: a backup longer than the delay
-           budget allows is useless): cheapest conflict cost within the hop
-           budget. *)
-        match Dr_topo.Constrained_path.cheapest_within_hops graph ~cost ~src
-                ~dst ~max_hops:h
-        with
-        | None -> None
-        | Some (_, p) -> Some p)
+    search_row ?max_hops (Net_state.graph state) ws.Ws.row ~src:(Path.src primary)
+      ~dst:(Path.dst primary)
   in
   (match found with
   | Some p when !J.on ->
@@ -468,30 +494,17 @@ let collect_chain ?max_hops scheme state ~primary ~bw ~count ~existing =
        outright, so a hit is fully SRLG-disjoint from the primary and
        from every earlier chain member. *)
     let find_strict earlier =
-      let base =
-        fast_backup_link_cost scheme state ~primary
-          ~earlier_backups:earlier ~bw
+      let row =
+        (fill_cost_row scheme state ~primary ~earlier_backups:earlier ~bw).Ws.row
       in
-      let cost l =
+      for l = 0 to Graph.link_count graph - 1 do
         if
           Array.exists
             (fun g -> banned.(g))
             (Srlg.groups_of_edge_arr srlg (Graph.edge_of_link l))
-        then infinity
-        else base l
-      in
-      match max_hops with
-      | None -> (
-          match Shortest_path.dijkstra_path graph ~cost ~src ~dst with
-          | None -> None
-          | Some (_, p) -> Some p)
-      | Some h -> (
-          match
-            Dr_topo.Constrained_path.cheapest_within_hops graph ~cost ~src
-              ~dst ~max_hops:h
-          with
-          | None -> None
-          | Some (_, p) -> Some p)
+        then row.(l) <- infinity
+      done;
+      search_row ?max_hops graph row ~src ~dst
     in
     let rec collect earlier fresh rank k =
       if k = 0 then List.rev fresh

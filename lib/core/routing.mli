@@ -28,16 +28,24 @@
       networks).
 
     {b Fast path.}  Route computations are the simulator's dominant cost,
-    so the searches run allocation-free: scheme cost terms are read from
-    {!Net_state}'s dense per-link APLV rows ({!Net_state.aplv_norm} is the
-    row's cached [‖APLV_i‖₁], {!Net_state.conflict_count} tests its
-    entries for [a_{i,j} > 0]), per-query route membership is stamped
-    into a per-domain epoch workspace instead of built as sets, and the
-    underlying searches reuse {!Dr_topo.Shortest_path}'s per-domain
-    workspaces.  The pre-change implementation is retained verbatim in
-    {!Routing_reference}; the differential harness ({!Routing_check},
-    [drtp_sim check-routing]) asserts both pick identical routes with
-    bit-identical {!cost_parts} decompositions. *)
+    so a backup search is a few linear passes over flat arrays.  The
+    query's route membership is stamped into a per-domain epoch workspace
+    instead of built as sets; then one pass fills a {e cost row}, a
+    [float array] in the same workspace holding {!backup_link_cost}'s
+    value for every link ({!backup_cost_row} returns a copy).  D-LSR's
+    term for every link comes from one scan of the edge-major APLV matrix
+    per primary edge ({!Aplv.conflict_counts}), P-LSR's from the cached
+    [‖APLV_i‖₁].  The SRLG chain search's strict pass writes [infinity]
+    over banned links in the same row.  Dijkstra
+    ({!Dr_topo.Shortest_path.dijkstra_path}) and the hop-bounded search
+    read the row, on their own per-domain workspaces.  The explainable
+    form ({!backup_link_verdict}, which the journal uses) is computed
+    separately, the pre-row way.  The pre-change implementation is
+    retained verbatim in {!Routing_reference}; the differential harness
+    ({!Routing_check}, [drtp_sim check-routing]) asserts both pick
+    identical routes, with and without a hop budget, that every entry of
+    the cost row equals the oracle's verdict total bit for bit, and that
+    the {!cost_parts} decompositions are bit-identical. *)
 
 type scheme = Plsr | Dlsr | Spf
 
@@ -93,6 +101,19 @@ val backup_link_verdict :
     or the decomposition of its cost.  [backup_link_cost l] is [infinity]
     exactly when the verdict is [Dead] or [No_bandwidth], and
     [parts_total p] when it is [Cost p]. *)
+
+val backup_cost_row :
+  ?earlier_backups:Dr_topo.Path.t list ->
+  scheme ->
+  Net_state.t ->
+  primary:Dr_topo.Path.t ->
+  bw:int ->
+  float array
+(** A fresh copy of the cost row the backup search runs on, one entry per
+    link: entry [l] is [parts_total p] when link [l]'s
+    {!backup_link_verdict} (with the same [earlier_backups]) is [Cost p],
+    and [infinity] otherwise — bit for bit.  For the differential
+    oracle. *)
 
 val find_backup :
   ?max_hops:int ->

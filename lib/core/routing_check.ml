@@ -133,10 +133,15 @@ let verdict_str = function
         p.Routing.conflict p.Routing.eps
 
 (* Compare the full per-link verdict decomposition of the fast path against
-   the oracle, plus the coherence of each side's cost function with its own
-   verdict.  [earlier] exercises the earlier-backup Q-penalty branch. *)
+   the oracle, the cost row the fast search runs on against the oracle's
+   verdict totals, and the coherence of each side's cost function with its
+   own verdict.  [earlier] exercises the earlier-backup Q-penalty
+   branch. *)
 let check_verdicts ctx ~where scheme state ~primary ~earlier ~bw =
   let graph = Net_state.graph state in
+  let row =
+    Routing.backup_cost_row ~earlier_backups:earlier scheme state ~primary ~bw
+  in
   let fast_v =
     Routing.backup_link_verdict ~earlier_backups:earlier scheme state ~primary
       ~bw
@@ -164,6 +169,14 @@ let check_verdicts ctx ~where scheme state ~primary ~earlier ~bw =
       if not same then
         diverge ctx "%s: link %d verdict fast=%s ref=%s" where l
           (verdict_str vf) (verdict_str vr);
+      let total =
+        match vr with
+        | Routing.Cost p -> Routing.parts_total p
+        | Routing.Dead | Routing.No_bandwidth _ -> infinity
+      in
+      if not (feq row.(l) total) then
+        diverge ctx "%s: link %d row cost %h <> oracle verdict total %h" where l
+          row.(l) total;
       (* The scalar cost functions ignore earlier backups; compare them (and
          their agreement with the earlier-free verdicts) only in that case. *)
       if earlier = [] then begin
@@ -224,6 +237,18 @@ let run_scheme params ~graph ~graph_index ~scheme ~name ctx =
         if not (same_paths fast_backups ref_backups) then
           diverge ctx "%s: backups fast=%s ref=%s" where
             (paths_str fast_backups) (paths_str ref_backups);
+        (* The hop-bounded search reads the same cost row. *)
+        let max_hops = Path.hops primary + 2 in
+        let fast_bounded =
+          Routing.find_backups ~max_hops scheme state ~primary ~bw
+            ~count:params.backup_count
+        and ref_bounded =
+          Routing_reference.find_backups ~max_hops scheme state ~primary ~bw
+            ~count:params.backup_count
+        in
+        if not (same_paths fast_bounded ref_bounded) then
+          diverge ctx "%s: backups within %d hops fast=%s ref=%s" where max_hops
+            (paths_str fast_bounded) (paths_str ref_bounded);
         (match ref_backups with
         | first :: _ ->
             check_verdicts ctx ~where scheme state ~primary ~earlier:[ first ]

@@ -3,10 +3,13 @@
     Replays randomized admission workloads on Waxman graphs, querying
     {!Routing} (the incremental fast path) and {!Routing_reference} (the
     verbatim pre-change code) side by side on the {e same} network state,
-    and records every disagreement: a different primary or backup route, a
+    and records every disagreement: a different primary or backup route
+    (with and without a hop budget of the primary's length plus two), a
     per-link {!Routing.cost_parts} decomposition that differs in any bit,
-    or a state that fails {!Net_state.check_invariants}, which runs after
-    every admit, release and churn step.
+    an entry of the cost row the fast search runs on
+    ({!Routing.backup_cost_row}) that differs in any bit from the oracle's
+    verdict total, or a state that fails {!Net_state.check_invariants},
+    which runs after every admit, release and churn step.
 
     One {!run_graph} call is self-contained and deterministic in
     [(params, graph_index)], so graph indices can be fanned out across a

@@ -3,9 +3,9 @@
    This module is the routing code exactly as it stood before the
    incremental fast path landed: per-query allocation of every search
    array, set-based membership tests, and scheme cost terms read through
-   {!Aplv}'s own accessors on every Dijkstra relaxation (a list walk over
-   the primary's LSET, not {!Net_state}'s array-staged fast accessors).
-   Both sides read the same per-link store; {!Net_state.check_invariants}
+   {!Aplv}'s per-link accessors on every Dijkstra relaxation (a list walk
+   over the primary's LSET, not the fast path's per-query cost row).
+   Both sides read the same APLV matrix; {!Net_state.check_invariants}
    is what checks that store against the connection table.  It is kept as
    an executable specification: the differential harness
    ({!Routing_check}, `drtp_sim check-routing`, the qcheck property suite)
@@ -178,7 +178,7 @@ let backup_link_verdict_general scheme state ~primary ~earlier_backups ~bw =
           Cost
             {
               q;
-              conflict = float_of_int (Aplv.norm1 (Net_state.aplv state l));
+              conflict = float_of_int (Aplv.norm1 (Net_state.aplv state) ~link:l);
               eps = epsilon;
             }
       | Dlsr ->
@@ -187,7 +187,7 @@ let backup_link_verdict_general scheme state ~primary ~earlier_backups ~bw =
               q;
               conflict =
                 float_of_int
-                  (Aplv.conflict_count_with (Net_state.aplv state l)
+                  (Aplv.conflict_count_with (Net_state.aplv state) ~link:l
                      ~edge_lset:primary_edge_list);
               eps = epsilon;
             }

@@ -4,8 +4,8 @@
     Same interface as {!Routing} (every type is an equation on
     {!Routing}'s, so values interoperate), but every query is computed the
     slow, obviously-correct way: fresh search arrays per call, set-based
-    membership, scheme cost terms read through {!Aplv}'s accessors on the
-    per-link rows rather than {!Net_state}'s array-staged fast ones.  Both
+    membership, scheme cost terms read link by link through {!Aplv}'s
+    accessors rather than filled into a cost row in one pass.  Both
     sides read the same store, which {!Net_state.check_invariants} checks
     against the connection table.  No journal
     events: an oracle run must not perturb the observability of the live

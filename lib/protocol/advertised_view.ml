@@ -14,7 +14,7 @@ let snapshot_link state l =
   let resources = Net_state.resources state in
   ( Drtp.Resources.free resources l,
     Drtp.Resources.available_for_backup resources l,
-    Drtp.Aplv.norm1 (Net_state.aplv state l),
+    Drtp.Aplv.norm1 (Net_state.aplv state) ~link:l,
     Net_state.conflict_vector state l )
 
 let refresh_link t state l =
@@ -139,8 +139,9 @@ let find_backups t state ~scheme ~primary ~bw ~count =
     else
       let cost = backup_cost t state ~scheme ~primary ~earlier ~bw in
       match
-        Dr_topo.Shortest_path.dijkstra_path graph ~cost ~src:(Path.src primary)
-          ~dst:(Path.dst primary)
+        Dr_topo.Shortest_path.dijkstra_path graph
+          ~cost:(Array.init (Graph.link_count graph) cost)
+          ~src:(Path.src primary) ~dst:(Path.dst primary)
       with
       | None -> List.rev fresh
       | Some (_, b) ->

@@ -43,9 +43,12 @@ module Ws = struct
     mutable dist_hops : int array;  (* BFS distance, valid iff stamped *)
     mutable dist_cost : float array;  (* Dijkstra distance, valid iff stamped *)
     mutable prev : int array;  (* incoming link, valid iff stamped *)
-    mutable settled : int array;  (* epoch when the node was settled *)
     mutable queue : int array;  (* BFS FIFO ring, capacity = node count *)
-    heap : int Pqueue.t;  (* Dijkstra frontier, capacity persists *)
+    mutable heap : int array;  (* Dijkstra frontier: node ids, a binary heap *)
+    mutable pos : int array;
+        (* a stamped node's heap slot; -1 once settled *)
+    mutable seq : int array;
+        (* a stamped node's insertion sequence number, the tie-break *)
     mutable epoch : int;
   }
 
@@ -55,9 +58,10 @@ module Ws = struct
       dist_hops = [||];
       dist_cost = [||];
       prev = [||];
-      settled = [||];
       queue = [||];
-      heap = Pqueue.create ();
+      heap = [||];
+      pos = [||];
+      seq = [||];
       epoch = 0;
     }
 
@@ -73,11 +77,12 @@ module Ws = struct
       ws.dist_hops <- Array.make n 0;
       ws.dist_cost <- Array.make n 0.0;
       ws.prev <- Array.make n 0;
-      ws.settled <- Array.make n 0;
-      ws.queue <- Array.make n 0
+      ws.queue <- Array.make n 0;
+      ws.heap <- Array.make n 0;
+      ws.pos <- Array.make n 0;
+      ws.seq <- Array.make n 0
     end;
     ws.epoch <- ws.epoch + 1;
-    Pqueue.reset ws.heap;
     ws
 end
 
@@ -172,57 +177,124 @@ let extract_path g result ~dst =
     Some (Path.of_links g (rebuild dst []))
   end
 
-(* Workspace twin of {!dijkstra} + {!extract_path} for the single-pair
-   query: identical relaxation order (same frontier heap discipline, same
-   out-link iteration), so it settles nodes in exactly the same sequence
-   and reconstructs exactly the same path — but it reuses the per-domain
-   arrays and stops once [dst] is settled.  Stopping early is sound: a
+(* The single-pair search: {!dijkstra} + {!extract_path}, on the
+   workspace, stopping once [dst] is settled.  Stopping early is sound: a
    settled node's [dist]/[prev] slots are final under non-negative costs,
-   and every predecessor on the extracted path was settled before [dst]. *)
-let dijkstra_path g ~cost ~src ~dst =
+   and every predecessor on the extracted path was settled before [dst].
+
+   The frontier is an indexed binary heap of node ids ordered by
+   (distance, seq), where [seq] counts insertions and a decrease-key takes
+   a fresh one.  {!dijkstra}'s lazy heap holds, besides stale entries, one
+   live entry per reached unsettled node, keyed (distance, seq of its
+   latest push); a stale entry of a node has a strictly larger key than
+   its live one, so it pops only after the node is settled and is skipped.
+   The live entries are exactly this heap's entries under the same total
+   order, so both searches settle the same nodes in the same order,
+   relax the same links, and resolve every tie alike — the same paths,
+   bit for bit, with no allocation per push. *)
+
+(* [a] pops before [b]. *)
+let before (dist : float array) (seq : int array) a b =
+  let da = Array.unsafe_get dist a and db = Array.unsafe_get dist b in
+  da < db || (da = db && Array.unsafe_get seq a < Array.unsafe_get seq b)
+
+let sift_up heap pos dist seq i0 =
+  let v = heap.(i0) in
+  let i = ref i0 in
+  while !i > 0 && before dist seq v heap.((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    let u = heap.(parent) in
+    heap.(!i) <- u;
+    pos.(u) <- !i;
+    i := parent
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
+
+let sift_down heap pos dist seq size i0 =
+  let v = heap.(i0) in
+  let i = ref i0 and continue = ref true in
+  while !continue do
+    let left = (2 * !i) + 1 in
+    if left >= size then continue := false
+    else begin
+      let right = left + 1 in
+      let child =
+        if right < size && before dist seq heap.(right) heap.(left) then right
+        else left
+      in
+      let u = heap.(child) in
+      if before dist seq u v then begin
+        heap.(!i) <- u;
+        pos.(u) <- !i;
+        i := child
+      end
+      else continue := false
+    end
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
+
+let dijkstra_path g ~(cost : float array) ~src ~dst =
   let n = Graph.node_count g in
+  if Array.length cost < Graph.link_count g then
+    invalid_arg "Shortest_path.dijkstra_path: cost row shorter than the link count";
   let ws = Ws.get ~n in
   let ep = ws.Ws.epoch in
   let stamp = ws.Ws.stamp
   and dist = ws.Ws.dist_cost
   and prev = ws.Ws.prev
-  and settled = ws.Ws.settled
-  and queue = ws.Ws.heap in
+  and heap = ws.Ws.heap
+  and pos = ws.Ws.pos
+  and seq = ws.Ws.seq in
   stamp.(src) <- ep;
   dist.(src) <- 0.0;
   prev.(src) <- -1;
-  Pqueue.add queue ~key:0.0 src;
-  let dst_settled = ref false in
-  let rec drain () =
-    if not !dst_settled then
-      match Pqueue.pop queue with
-      | None -> ()
-      | Some (d, v) ->
-          if settled.(v) <> ep then begin
-            settled.(v) <- ep;
-            if v = dst then dst_settled := true
-            else
-              Array.iter
-                (fun l ->
-                  let c = cost l in
-                  if c < 0.0 then
-                    invalid_arg "Shortest_path.dijkstra: negative cost";
-                  if c < infinity then begin
-                    let w = Graph.link_dst g l in
-                    let nd = d +. c in
-                    if stamp.(w) <> ep || nd < dist.(w) then begin
-                      stamp.(w) <- ep;
-                      dist.(w) <- nd;
-                      prev.(w) <- l;
-                      Pqueue.add queue ~key:nd w
-                    end
-                  end)
-                (Graph.out_links g v)
-          end;
-          drain ()
-  in
-  drain ();
-  if stamp.(dst) <> ep || not !dst_settled then None
+  seq.(src) <- 0;
+  heap.(0) <- src;
+  pos.(src) <- 0;
+  let size = ref 1 and next_seq = ref 1 and dst_settled = ref false in
+  while (not !dst_settled) && !size > 0 do
+    let v = heap.(0) in
+    decr size;
+    if !size > 0 then begin
+      heap.(0) <- heap.(!size);
+      sift_down heap pos dist seq !size 0
+    end;
+    pos.(v) <- -1;
+    if v = dst then dst_settled := true
+    else begin
+      let d = dist.(v) in
+      let out = Graph.out_links g v in
+      for k = 0 to Array.length out - 1 do
+        let l = out.(k) in
+        let c = cost.(l) in
+        if c < 0.0 then invalid_arg "Shortest_path.dijkstra: negative cost";
+        if c < infinity then begin
+          let w = Graph.link_dst g l in
+          let nd = d +. c in
+          if stamp.(w) <> ep then begin
+            stamp.(w) <- ep;
+            dist.(w) <- nd;
+            prev.(w) <- l;
+            seq.(w) <- !next_seq;
+            incr next_seq;
+            heap.(!size) <- w;
+            incr size;
+            sift_up heap pos dist seq (!size - 1)
+          end
+          else if pos.(w) >= 0 && nd < dist.(w) then begin
+            dist.(w) <- nd;
+            prev.(w) <- l;
+            seq.(w) <- !next_seq;
+            incr next_seq;
+            sift_up heap pos dist seq pos.(w)
+          end
+        end
+      done
+    end
+  done;
+  if not !dst_settled then None
   else if prev.(dst) = -1 then None (* dst is the source itself *)
   else begin
     let total = dist.(dst) in

@@ -19,9 +19,21 @@
     an epoch counter rather than refilled.  Each domain owns its
     workspace (via [Domain.DLS]), so concurrent searches from a
     [--jobs N] worker pool never share state.  Results never alias the
-    workspace, and the traversal order — hence every returned path,
-    including cost ties — is identical to the allocating implementations
-    retained in {!Drtp.Routing_reference} as a differential oracle. *)
+    workspace.
+
+    {!dijkstra_path} reads its link costs from a row (a [float array]
+    indexed by link id) and keeps its frontier in an {e indexed} binary
+    heap of node ids ordered by (distance, insertion sequence number); a
+    decrease-key takes a fresh sequence number.  So a search allocates
+    nothing until it builds the returned path.  {!dijkstra}'s lazy heap
+    ({!Dr_pqueue.Pqueue}) pushes a new entry per decrease instead and
+    skips stale ones on pop; a node's stale entries have larger keys than
+    its live one, so they pop only after it is settled.  Its live entries
+    are exactly the indexed heap's, under the same (key, sequence) order:
+    both searches settle the same nodes in the same order and resolve
+    every cost tie alike, so they return the same paths, bit for bit —
+    and so do the allocating implementations retained in
+    {!Drtp.Routing_reference} as a differential oracle. *)
 
 val unreachable : int
 (** Sentinel hop count ([max_int]) for unreachable nodes. *)
@@ -53,8 +65,12 @@ val dijkstra : Graph.t -> cost:(int -> float) -> src:int -> dijkstra_result
     [Invalid_argument] on a negative cost. *)
 
 val dijkstra_path :
-  Graph.t -> cost:(int -> float) -> src:int -> dst:int -> (float * Path.t) option
-(** Cheapest path and its cost, or [None] if unreachable. *)
+  Graph.t -> cost:float array -> src:int -> dst:int -> (float * Path.t) option
+(** Cheapest path and its cost, or [None] if unreachable (or [src = dst]).
+    [cost.(l)] is link [l]'s cost, under {!dijkstra}'s rules; the path
+    and its cost are those of [extract_path (dijkstra ...)].  Stops once
+    [dst] is settled.  Raises [Invalid_argument] if [cost] is shorter
+    than the link count, or on a negative cost met by the search. *)
 
 val extract_path : Graph.t -> dijkstra_result -> dst:int -> Path.t option
 (** Rebuild the path to [dst] from a Dijkstra run. *)

@@ -30,7 +30,8 @@ type iterator = {
 let iterator g ~cost ~src ~dst =
   let candidates = Pqueue.create () in
   let seen = Hashtbl.create 64 in
-  match Shortest_path.dijkstra_path g ~cost ~src ~dst with
+  let row = Array.init (Graph.link_count g) cost in
+  match Shortest_path.dijkstra_path g ~cost:row ~src ~dst with
   | None ->
       {
         graph = g;
@@ -94,7 +95,8 @@ let expand_head it =
       else cost l
     in
     if spur_node <> dst then
-      match Shortest_path.dijkstra_path g ~cost:spur_cost ~src:spur_node ~dst with
+      let row = Array.init (Graph.link_count g) spur_cost in
+      match Shortest_path.dijkstra_path g ~cost:row ~src:spur_node ~dst with
       | None -> ()
       | Some (_, spur) ->
           let total_links = root @ Path.links spur in

@@ -12,7 +12,9 @@ let test_matches_dijkstra_when_loose () =
   let g = Dr_topo.Gen.mesh ~rows:3 ~cols:3 in
   match
     ( CP.cheapest_within_hops g ~cost:unit_cost ~src:0 ~dst:8 ~max_hops:8,
-      Dr_topo.Shortest_path.dijkstra_path g ~cost:unit_cost ~src:0 ~dst:8 )
+      Dr_topo.Shortest_path.dijkstra_path g
+        ~cost:(Array.make (Graph.link_count g) 1.0)
+        ~src:0 ~dst:8 )
   with
   | Some (c1, p1), Some (c2, _) ->
       Alcotest.(check (float 1e-9)) "same cost" c2 c1;
@@ -33,7 +35,11 @@ let test_budget_forces_expensive_shortcut () =
   let g = Dr_topo.Gen.ring 6 in
   let direct = Option.get (Graph.find_link g ~src:0 ~dst:1) in
   let cost l = if l = direct then 10.0 else 1.0 in
-  (match Dr_topo.Shortest_path.dijkstra_path g ~cost ~src:0 ~dst:1 with
+  (match
+     Dr_topo.Shortest_path.dijkstra_path g
+       ~cost:(Array.init (Graph.link_count g) cost)
+       ~src:0 ~dst:1
+   with
   | Some (c, p) ->
       Alcotest.(check (float 1e-9)) "unbounded prefers detour" 5.0 c;
       Alcotest.(check int) "5 hops" 5 (Path.hops p)

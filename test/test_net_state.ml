@@ -92,7 +92,7 @@ let test_release_returns_everything () =
   Alcotest.(check int) "no spare" 0 (Resources.total_spare r);
   Alcotest.(check int) "no conns" 0 (Net_state.active_count st);
   Graph.iter_links g (fun l ->
-      Alcotest.(check int) "APLV empty" 0 (Aplv.norm1 (Net_state.aplv st l)));
+      Alcotest.(check int) "APLV empty" 0 (Aplv.norm1 (Net_state.aplv st) ~link:l));
   check_inv st
 
 let test_release_unknown () =
@@ -344,15 +344,15 @@ let test_invariants_catch_aplv_drift () =
        ~backups:[ path g [ 0; 3; 4; 5; 2 ] ]);
   check_inv st;
   let l = link g 3 4 and e = Graph.edge_of_link (link g 7 8) in
-  let row = Net_state.aplv st l in
-  Aplv.register row ~edge_lset:[ e ];
+  let m = Net_state.aplv st in
+  Aplv.register m ~link:l ~edge_lset:[ e ];
   (match Net_state.check_invariants st with
   | Ok () -> Alcotest.fail "injected count went unnoticed"
   | Error msg ->
       let prefix = Printf.sprintf "link %d edge %d:" l e in
       if not (String.starts_with ~prefix msg) then
         Alcotest.failf "%S does not name link %d and edge %d" msg l e);
-  Aplv.unregister row ~edge_lset:[ e ];
+  Aplv.unregister m ~link:l ~edge_lset:[ e ];
   check_inv st
 
 let suite =

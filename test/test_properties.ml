@@ -77,7 +77,7 @@ let prop_extracted_path_cost_matches =
       let costs = Array.init (Graph.link_count g) (fun _ -> 0.1 +. Rng.float rng 3.0) in
       let cost l = costs.(l) in
       let src, dst = random_pair rng (Graph.node_count g) in
-      match SP.dijkstra_path g ~cost ~src ~dst with
+      match SP.dijkstra_path g ~cost:costs ~src ~dst with
       | None -> true
       | Some (c, p) ->
           let recomputed =
@@ -85,6 +85,36 @@ let prop_extracted_path_cost_matches =
           in
           Float.abs (c -. recomputed) < 1e-9
           && Path.src p = src && Path.dst p = dst)
+
+(* Link costs drawn from {0, 1, 2, infinity}: many exact ties and
+   zero-cost links, so which of several equal-cost paths comes back is
+   decided by the frontier's tie-break.  The single-pair search (indexed
+   heap) must settle nodes exactly as the single-source one (lazy
+   {!Pqueue}) does, so it returns the same cost and the same links to
+   every destination. *)
+let prop_dijkstra_path_tie_order =
+  property ~count:200 "dijkstra_path = extract_path (dijkstra) under cost ties"
+    seed_gen (fun seed ->
+      let g = random_graph seed in
+      let rng = Rng.create (seed + 6) in
+      let choices = [| 0.0; 1.0; 2.0; infinity |] in
+      let costs =
+        Array.init (Graph.link_count g) (fun _ -> choices.(Rng.int rng 4))
+      in
+      let src = Rng.int rng (Graph.node_count g) in
+      let full = SP.dijkstra g ~cost:(fun l -> costs.(l)) ~src in
+      List.for_all
+        (fun dst ->
+          match
+            (SP.dijkstra_path g ~cost:costs ~src ~dst, SP.extract_path g full ~dst)
+          with
+          | None, None -> true
+          | Some (c, p), Some p' ->
+              Int64.equal (Int64.bits_of_float c)
+                (Int64.bits_of_float full.SP.dist.(dst))
+              && Path.links p = Path.links p'
+          | _ -> false)
+        (List.init (Graph.node_count g) Fun.id))
 
 let prop_yen_first_is_optimal =
   property ~count:30 "yen's first path equals dijkstra's" seed_gen (fun seed ->
@@ -94,7 +124,7 @@ let prop_yen_first_is_optimal =
       let cost _ = 1.0 in
       match
         ( Dr_topo.Yen.k_shortest g ~cost ~src ~dst ~k:3,
-          SP.dijkstra_path g ~cost ~src ~dst )
+          SP.dijkstra_path g ~cost:(Array.make (Graph.link_count g) 1.0) ~src ~dst )
       with
       | [], None -> true
       | (c1, _) :: _, Some (c2, _) -> Float.abs (c1 -. c2) < 1e-9
@@ -131,25 +161,72 @@ let prop_aplv_register_unregister_cancels =
     (fun (l1, l2) ->
       let l1 = dedup l1 and l2 = dedup l2 in
       QCheck.assume (l1 <> [] && l2 <> []);
-      let a = Aplv.create ~domains:11 in
-      Aplv.register a ~edge_lset:l1;
-      let norm_before = Aplv.norm1 a and support_before = Aplv.support a in
-      Aplv.register a ~edge_lset:l2;
-      Aplv.unregister a ~edge_lset:l2;
-      Aplv.norm1 a = norm_before && Aplv.support a = support_before)
+      let a = Aplv.create ~links:1 ~edges:11 and link = 0 in
+      Aplv.register a ~link ~edge_lset:l1;
+      let norm_before = Aplv.norm1 a ~link and support_before = Aplv.support a ~link in
+      Aplv.register a ~link ~edge_lset:l2;
+      Aplv.unregister a ~link ~edge_lset:l2;
+      Aplv.norm1 a ~link = norm_before && Aplv.support a ~link = support_before)
 
 let prop_aplv_norm_is_sum =
   property "aplv: norm1 = sum over support"
     QCheck.(list_of_size (Gen.int_range 0 8) lset_gen)
     (fun lsets ->
       let lsets = List.filter (fun l -> l <> []) (List.map dedup lsets) in
-      let a = Aplv.create ~domains:11 in
-      List.iter (fun l -> Aplv.register a ~edge_lset:l) lsets;
-      let sum = List.fold_left (fun acc j -> acc + Aplv.get a j) 0 (Aplv.support a) in
-      Aplv.norm1 a = sum
-      && Aplv.max_element a
-         = List.fold_left (fun acc j -> max acc (Aplv.get a j)) 0 (Aplv.support a)
-      && Aplv.backup_count a = List.length lsets)
+      let a = Aplv.create ~links:1 ~edges:11 and link = 0 in
+      List.iter (fun l -> Aplv.register a ~link ~edge_lset:l) lsets;
+      let sum =
+        List.fold_left (fun acc j -> acc + Aplv.get a ~link j) 0 (Aplv.support a ~link)
+      in
+      Aplv.norm1 a ~link = sum
+      && Aplv.max_element a ~link
+         = List.fold_left
+             (fun acc j -> max acc (Aplv.get a ~link j))
+             0 (Aplv.support a ~link)
+      && Aplv.backup_count a ~link = List.length lsets)
+
+(* The column scan D-LSR's search prices every link with, against the
+   per-link count, after a random walk of registrations and releases over
+   several links, and again after [clear]. *)
+let prop_aplv_conflict_counts =
+  property "aplv: conflict_counts = conflict_count_with on every link" seed_gen
+    (fun seed ->
+      let rng = Rng.create seed in
+      let links = 1 + Rng.int rng 8 and edges = 1 + Rng.int rng 12 in
+      let a = Aplv.create ~links ~edges in
+      let random_lset () =
+        dedup (List.init (1 + Rng.int rng 4) (fun _ -> Rng.int rng edges))
+      in
+      let registered = ref [] in
+      for _ = 1 to 60 do
+        match !registered with
+        | (link, lset) :: rest when Rng.int rng 3 = 0 ->
+            Aplv.unregister a ~link ~edge_lset:lset;
+            registered := rest
+        | _ ->
+            let link = Rng.int rng links and lset = random_lset () in
+            Aplv.register a ~link ~edge_lset:lset;
+            registered := (link, lset) :: !registered
+      done;
+      let into = Array.make links (-1) in
+      let agrees () =
+        List.for_all
+          (fun _ ->
+            let query = Array.init (Rng.int rng 6) (fun _ -> Rng.int rng edges) in
+            let n = Rng.int rng (Array.length query + 1) in
+            let lset = Array.to_list (Array.sub query 0 n) in
+            Aplv.conflict_counts a ~edges:query ~n ~into;
+            List.for_all
+              (fun link -> into.(link) = Aplv.conflict_count_with a ~link ~edge_lset:lset)
+              (List.init links Fun.id))
+          (List.init 8 Fun.id)
+      in
+      let walked = agrees () in
+      Aplv.clear a;
+      walked && agrees ()
+      && List.for_all
+           (fun link -> Aplv.norm1 a ~link = 0 && Aplv.backup_count a ~link = 0)
+           (List.init links Fun.id))
 
 (* --- scenario round-trip -------------------------------------------------- *)
 
@@ -316,11 +393,13 @@ let suite =
         prop_dijkstra_equals_bellman_ford;
         prop_dijkstra_unit_equals_bfs;
         prop_extracted_path_cost_matches;
+        prop_dijkstra_path_tie_order;
         prop_yen_first_is_optimal;
         prop_flow_bounded_by_degree;
         prop_bridgeless_implies_two_paths;
         prop_aplv_register_unregister_cancels;
         prop_aplv_norm_is_sum;
+        prop_aplv_conflict_counts;
         prop_scenario_roundtrip;
         prop_waxman_shape;
         prop_summary_matches_direct;

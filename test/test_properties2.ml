@@ -64,7 +64,7 @@ let prop_constrained_never_beats_dijkstra =
       let budget = 1 + Rng.int rng 6 in
       match
         ( CP.cheapest_within_hops g ~cost ~src ~dst ~max_hops:budget,
-          SP.dijkstra_path g ~cost ~src ~dst )
+          SP.dijkstra_path g ~cost:costs ~src ~dst )
       with
       | None, _ -> true
       | Some _, None -> false

@@ -75,7 +75,7 @@ let test_dijkstra_weighted_detour () =
      cheap links. *)
   let e01 = Option.get (Graph.find_link g ~src:0 ~dst:1) in
   let cost l = if l = e01 || l = Graph.twin e01 then 10.0 else 1.0 in
-  match SP.dijkstra_path g ~cost ~src:0 ~dst:2 with
+  match SP.dijkstra_path g ~cost:(Array.init (Graph.link_count g) cost) ~src:0 ~dst:2 with
   | None -> Alcotest.fail "path expected"
   | Some (c, p) ->
       Alcotest.(check bool) "avoids expensive link" false (Path.contains_link p e01);
@@ -86,12 +86,27 @@ let test_dijkstra_infinite_excludes () =
   let e12 = Option.get (Graph.find_link g ~src:1 ~dst:2) in
   let cost l = if l = e12 then infinity else 1.0 in
   Alcotest.(check bool) "no path through infinite link" true
-    (SP.dijkstra_path g ~cost ~src:0 ~dst:2 = None)
+    (SP.dijkstra_path g ~cost:(Array.init (Graph.link_count g) cost) ~src:0 ~dst:2
+    = None)
 
 let test_dijkstra_negative_rejected () =
   let g = grid () in
   Alcotest.(check bool) "negative cost raises" true
     (try ignore (SP.dijkstra g ~cost:(fun _ -> -1.0) ~src:0); false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "negative row entry raises" true
+    (try
+       ignore
+         (SP.dijkstra_path g ~cost:(Array.make (Graph.link_count g) (-1.0)) ~src:0
+            ~dst:2);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "short row raises" true
+    (try
+       ignore
+         (SP.dijkstra_path g ~cost:(Array.make (Graph.link_count g - 1) 1.0) ~src:0
+            ~dst:2);
+       false
      with Invalid_argument _ -> true)
 
 let test_extract_path_at_source () =
