@@ -662,8 +662,11 @@ let explain_cmd =
                  members
          end);
         let chosen_links = Option.map Dr_topo.Path.links chosen in
-        let cost = Drtp.Routing.backup_link_cost scheme state ~primary ~bw in
-        let cands = Dr_topo.Yen.k_shortest graph ~cost ~src ~dst ~k:top in
+        let row = Drtp.Routing.backup_cost_row scheme state ~primary ~bw
+        and verdicts = Drtp.Routing.backup_verdicts scheme state ~primary ~bw in
+        let cands =
+          Dr_topo.Yen.k_shortest graph ~cost:(Array.get row) ~src ~dst ~k:top
+        in
         let resources = Drtp.Net_state.resources state in
         if cands = [] then Format.printf "no feasible backup candidates@."
         else
@@ -684,9 +687,7 @@ let explain_cmd =
                 (fun l ->
                   let u = Dr_topo.Graph.link_src graph l
                   and v = Dr_topo.Graph.link_dst graph l in
-                  match
-                    Drtp.Routing.backup_link_verdict scheme state ~primary ~bw l
-                  with
+                  match verdicts.(l) with
                   | Drtp.Routing.Cost p ->
                       let t = Drtp.Routing.parts_total p in
                       sum := !sum +. t;

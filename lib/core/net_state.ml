@@ -117,8 +117,6 @@ let aplv t = t.aplv
 let aplv_updates t = t.aplv_updates
 let aplv_norm t l = Aplv.norm1 t.aplv ~link:l
 
-let conflict_count t ~link ~edge_lset = Aplv.conflict_count_with t.aplv ~link ~edge_lset
-
 let conflict_vector t l =
   Conflict_vector.of_aplv t.aplv ~link:l ~domains:(Graph.edge_count t.graph)
 
@@ -461,6 +459,34 @@ let activation_feasible t ~id ?(index = 0) () =
             (fun l -> Resources.backup_feasible t.resources ~link:l ~bw:conn.bw)
             (Path.links b))
 
+(* Install [backups] on [conn] behind its current primary: keep, in order,
+   those admissible given the primary and the backups kept before them,
+   register them, and mark the connection degraded where a spare pool
+   falls short.  A dropped member is the graceful outcome: the network can
+   no longer host it (the recovery driver's reprotection may find a
+   replacement).  Registration moves only spare bandwidth and
+   {!backup_admissible} reads [capacity - prime_bw], so checking every
+   member before registering any gives the answers interleaving would. *)
+let install_backups t conn backups =
+  let kept =
+    List.rev
+      (List.fold_left
+         (fun kept b ->
+           if
+             backup_admissible t ~bw:conn.bw ~primary:conn.primary
+               ~earlier_backups:kept b
+           then b :: kept
+           else kept)
+         [] backups)
+  in
+  let primary_edges = edge_lset_of_path conn.primary in
+  List.iter
+    (fun b ->
+      if not (register_backup t ~bw:conn.bw ~primary_edges ~backup_path:b) then
+        conn.degraded <- true)
+    kept;
+  conn.backups <- kept
+
 let promote_backup t ~id ?(index = 0) () =
   match Hashtbl.find_opt t.conns id with
   | None -> invalid_arg "Net_state.promote_backup: unknown connection"
@@ -489,23 +515,8 @@ let promote_backup t ~id ?(index = 0) () =
       remove_primary_index t conn;
       let remaining = List.filteri (fun i _ -> i <> index) conn.backups in
       conn.primary <- chosen;
-      conn.backups <- [];
       List.iter (fun e -> set_index t e id conn) (edge_lset_of_path chosen);
-      (* Re-register the surviving backups against the new primary's LSET;
-         ones the network can no longer host are dropped from the list (the
-         recovery driver's step 4 may find replacements). *)
-      let primary_edges = edge_lset_of_path chosen in
-      List.iter
-        (fun b ->
-          if
-            backup_admissible t ~bw:conn.bw ~primary:chosen
-              ~earlier_backups:conn.backups b
-          then begin
-            if not (register_backup t ~bw:conn.bw ~primary_edges ~backup_path:b)
-            then conn.degraded <- true;
-            conn.backups <- conn.backups @ [ b ]
-          end)
-        remaining
+      install_backups t conn remaining
 
 let reroute_primary t ~id ~primary =
   match Hashtbl.find_opt t.conns id with
@@ -544,53 +555,21 @@ let reroute_primary t ~id ~primary =
       end;
       List.iter (fun l -> reserve_primary t l conn.bw) new_links;
       remove_primary_index t conn;
-      let backups = conn.backups in
       conn.primary <- primary;
-      conn.backups <- [];
       List.iter (fun e -> set_index t e id conn) (edge_lset_of_path primary);
-      let primary_edges = edge_lset_of_path primary in
-      List.iter
-        (fun b ->
-          if
-            backup_admissible t ~bw:conn.bw ~primary ~earlier_backups:conn.backups b
-          then begin
-            if not (register_backup t ~bw:conn.bw ~primary_edges ~backup_path:b)
-            then conn.degraded <- true;
-            conn.backups <- conn.backups @ [ b ]
-          end)
-        backups
+      install_backups t conn conn.backups
 
 let replace_backups_drop t ~id ~backups =
   match Hashtbl.find_opt t.conns id with
   | None -> invalid_arg "Net_state.replace_backups_drop: unknown connection"
   | Some conn ->
       save_fields t conn;
-      let primary_edges = edge_lset_of_path conn.primary in
       unregister_all_backups t conn;
-      conn.backups <- [];
       (* The sequential admissibility walk of {!admit}, but an infeasible
          member is dropped instead of raising: earlier victims' activations
-         may have converted spare to prime on a surviving backup's links,
-         and losing that member is the graceful outcome (the reprotection
-         queue can retry later). *)
-      let kept =
-        List.rev
-          (List.fold_left
-             (fun kept b ->
-               if
-                 backup_admissible t ~bw:conn.bw ~primary:conn.primary
-                   ~earlier_backups:kept b
-               then b :: kept
-               else kept)
-             [] backups)
-      in
-      List.iter
-        (fun b ->
-          if not (register_backup t ~bw:conn.bw ~primary_edges ~backup_path:b)
-          then conn.degraded <- true)
-        kept;
-      conn.backups <- kept;
-      kept
+         may have converted spare to prime on a surviving backup's links. *)
+      install_backups t conn backups;
+      conn.backups
 
 let fail_edge t ~edge = set_failed t edge true
 let edge_failed t ~edge = t.failed.(edge)

@@ -87,12 +87,6 @@ val aplv_norm : t -> int -> int
 (** [‖APLV_l‖₁] of a directed link, [Aplv.norm1 (aplv t) ~link:l]: the
     link's cached sum, P-LSR's per-link cost term. *)
 
-val conflict_count : t -> link:int -> edge_lset:int list -> int
-(** D-LSR's cost term [Σ_{j ∈ edge_lset} (a_{link,j} > 0 ? 1 : 0)] for one
-    link, [Aplv.conflict_count_with (aplv t) ~link ~edge_lset].  The
-    backup search prices every link at once with
-    {!Aplv.conflict_counts}. *)
-
 val check_routing_caches : t -> (unit, string) result
 (** Check every link's cached [‖APLV_l‖₁] against the sum of its entries
     and report the first link where they differ.  One pass over the

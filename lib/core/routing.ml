@@ -44,135 +44,19 @@ type link_verdict =
   | No_bandwidth of { required : int }
   | Cost of cost_parts
 
-(* The per-link cost decomposition every scheme's total is assembled from.
-   [backup_link_cost_general] below sums the parts in exactly the order
-   [parts_total] uses, so an explained row always matches the Dijkstra
-   cost bit for bit. *)
-let backup_link_verdict_general scheme state ~primary ~earlier_backups ~bw =
-  let resources = Net_state.resources state in
-  let primary_edges = Path.edge_set primary in
-  let primary_edge_list = Path.Link_set.elements primary_edges in
-  let primary_links = Path.lset primary in
-  (* Directed-link share counts over the earlier backups: a link two
-     earlier members both use must host the new backup on top of BOTH
-     reservations, so multiplicity matters (admission counts occurrences
-     the same way). *)
-  let earlier_share_count =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun b ->
-        List.iter
-          (fun l ->
-            Hashtbl.replace tbl l
-              (1 + Option.value (Hashtbl.find_opt tbl l) ~default:0))
-          (Path.links b))
-      earlier_backups;
-    tbl
-  in
-  let earlier_edges =
-    List.fold_left
-      (fun acc b -> Path.Link_set.union acc (Path.edge_set b))
-      Path.Link_set.empty earlier_backups
-  in
-  (* Failure domains are SRLG groups: a link shares the primary's (or an
-     earlier backup's) fate when its edge belongs to any group one of
-     their edges belongs to.  With the singleton model this degenerates
-     to plain edge membership, bit-identically — that branch is the
-     pre-SRLG code verbatim. *)
-  let srlg = Net_state.srlg state in
-  let shares_primary, shares_earlier =
-    if Srlg.is_singleton srlg then
-      ( (fun e -> Path.Link_set.mem e primary_edges),
-        fun e -> Path.Link_set.mem e earlier_edges )
-    else
-      let group_set edges =
-        Path.Link_set.fold
-          (fun e acc ->
-            Array.fold_left
-              (fun acc g -> Path.Link_set.add g acc)
-              acc
-              (Srlg.groups_of_edge_arr srlg e))
-          edges Path.Link_set.empty
-      in
-      let primary_groups = group_set primary_edges
-      and earlier_groups = group_set earlier_edges in
-      let shares groups e =
-        Array.exists
-          (fun g -> Path.Link_set.mem g groups)
-          (Srlg.groups_of_edge_arr srlg e)
-      in
-      (shares primary_groups, shares earlier_groups)
-  in
-  fun l ->
-    (* A backup sharing a directed link with routes of its own connection
-       must fit on top of their reservations there. *)
-    let own_shares =
-      (if Path.Link_set.mem l primary_links then 1 else 0)
-      + Option.value (Hashtbl.find_opt earlier_share_count l) ~default:0
-    in
-    let required = bw * (1 + own_shares) in
-    if not (link_alive state l) then Dead
-    else if not (Resources.backup_feasible resources ~link:l ~bw:required) then
-      No_bandwidth { required }
-    else
-      let q =
-        (* The paper's large constant Q: sharing a failure domain with the
-           primary is heavily penalised but not forbidden — a source whose
-           only attachment edge carries the primary has no disjoint
-           alternative, and the paper only requires *minimal* overlap.
-           Subsequent backups get the same penalty on earlier backups'
-           edges: a second backup matters exactly when the first cannot
-           activate. *)
-        let e = Graph.edge_of_link l in
-        (if shares_primary e then q_constant else 0.0)
-        +. if shares_earlier e then q_constant else 0.0
-      in
-      match scheme with
-      | Spf -> Cost { q; conflict = 1.0; eps = 0.0 }
-      | Plsr ->
-          Cost
-            {
-              q;
-              conflict = float_of_int (Net_state.aplv_norm state l);
-              eps = epsilon;
-            }
-      | Dlsr ->
-          Cost
-            {
-              q;
-              conflict =
-                float_of_int
-                  (Net_state.conflict_count state ~link:l
-                     ~edge_lset:primary_edge_list);
-              eps = epsilon;
-            }
+(* --- the backup price: one cost row per query ---------------------------- *)
 
-let backup_link_verdict ?(earlier_backups = []) scheme state ~primary ~bw =
-  backup_link_verdict_general scheme state ~primary ~earlier_backups ~bw
-
-let backup_link_cost_general scheme state ~primary ~earlier_backups ~bw =
-  let verdict =
-    backup_link_verdict_general scheme state ~primary ~earlier_backups ~bw
-  in
-  fun l ->
-    match verdict l with
-    | Dead | No_bandwidth _ -> infinity
-    | Cost p -> parts_total p
-
-let backup_link_cost scheme state ~primary ~bw =
-  backup_link_cost_general scheme state ~primary ~earlier_backups:[] ~bw
-
-(* --- workspace fast path -------------------------------------------------- *)
-
-(* Per-domain routing workspace: epoch-stamped membership arrays replacing
-   the per-query [Path.Link_set] values of {!backup_link_verdict_general},
-   and the query's cost row.  A query marks its primary/earlier links and
-   edges once (stamping slots with the query's epoch) and stages the
-   primary's edge LSET into a flat array; {!fill_cost_row} then prices
-   every link in one pass into [row], which the search reads.  One
+(* Per-domain routing workspace.  A backup query runs in three stages over
+   it ({!fill_cost_row}): [stamp] marks the links, edges and SRLG groups of
+   the primary and of the earlier backups with the query's epoch instead of
+   building sets, and stages the primary's edge LSET in [pedges]; the
+   per-link inputs [avail] and [term] are filled from the ground truth or
+   copied from an advertised view; [price] writes each edge's Q term into
+   [q] and every link's cost into [row], which the search reads.
+   {!verdict} reads a link's decomposition back from the same inputs.  One
    workspace per domain (Domain.DLS) keeps [--jobs N] pools race-free; a
-   row is consumed by a single search, before any other query in the
-   domain refills it. *)
+   query's row and inputs are consumed (searched, journalled) before any
+   other query in the domain refills them. *)
 module Ws = struct
   type t = {
     mutable prim_link : int array; (* per link: epoch when on the primary *)
@@ -189,6 +73,7 @@ module Ws = struct
         (* per link: the scheme's conflict term, D-LSR's Σ_j c_{l,j} or
            P-LSR's ‖APLV_l‖₁ *)
     mutable avail : int array; (* per link: capacity - prime_bw *)
+    mutable q : float array; (* per edge: the query's Q term *)
     mutable row : float array; (* per link: the query's backup cost *)
     mutable epoch : int;
   }
@@ -206,6 +91,7 @@ module Ws = struct
       pedge_n = 0;
       term = [||];
       avail = [||];
+      q = [||];
       row = [||];
       epoch = 0;
     }
@@ -225,7 +111,8 @@ module Ws = struct
     if Array.length ws.prim_edge < edges then begin
       ws.prim_edge <- Array.make edges 0;
       ws.earl_edge <- Array.make edges 0;
-      ws.pedges <- Array.make edges 0
+      ws.pedges <- Array.make edges 0;
+      ws.q <- Array.make edges 0.0
     end;
     if Array.length ws.prim_group < groups then begin
       ws.prim_group <- Array.make groups 0;
@@ -235,29 +122,8 @@ module Ws = struct
     ws
 end
 
-(* Fill the workspace's cost row for one backup query: [row.(l)] is the
-   value {!backup_link_cost_general} gives link [l] — [q +. conflict +.
-   eps] in {!parts_total}'s association order, or [infinity] when the
-   link is dead or short of bandwidth — bit for bit (the differential
-   harness compares every entry with {!Routing_reference}'s verdicts).
-   Liveness and the Q term belong to an edge and are computed once for
-   its two links [2e] and [2e + 1] ({!Graph}'s numbering).  The per-link
-   inputs are copied into the workspace first, each in one call: D-LSR's
-   term from one {!Aplv.conflict_counts} pass, P-LSR's from the cached
-   norms, and the bandwidth available to backups.  Returns the row's
-   workspace. *)
-let fill_cost_row scheme state ~primary ~earlier_backups ~bw =
-  let graph = Net_state.graph state in
-  let resources = Net_state.resources state in
-  let aplv = Net_state.aplv state in
-  let srlg = Net_state.srlg state in
-  let singleton = Srlg.is_singleton srlg in
-  let edges = Graph.edge_count graph in
-  let ws =
-    Ws.get
-      ~groups:(if singleton then 0 else Srlg.group_count srlg)
-      ~links:(Graph.link_count graph) ~edges ()
-  in
+(* Stage 1: stamp the query's route membership. *)
+let stamp ws srlg ~singleton ~primary ~earlier_backups =
   let ep = ws.Ws.epoch in
   let prim_link = ws.Ws.prim_link
   and earl_link = ws.Ws.earl_link
@@ -266,10 +132,7 @@ let fill_cost_row scheme state ~primary ~earlier_backups ~bw =
   and earl_edge = ws.Ws.earl_edge
   and prim_group = ws.Ws.prim_group
   and earl_group = ws.Ws.earl_group
-  and pedges = ws.Ws.pedges
-  and term = ws.Ws.term
-  and avail = ws.Ws.avail
-  and row = ws.Ws.row in
+  and pedges = ws.Ws.pedges in
   List.iter (fun l -> prim_link.(l) <- ep) (Path.links primary);
   let n = ref 0 in
   Path.Link_set.iter
@@ -301,13 +164,54 @@ let fill_cost_row scheme state ~primary ~earlier_backups ~bw =
               (fun g -> earl_group.(g) <- ep)
               (Srlg.groups_of_edge_arr srlg e))
         (Path.edge_set b))
-    earlier_backups;
+    earlier_backups
+
+(* Stage 2 on the ground truth: D-LSR's term from one
+   {!Aplv.conflict_counts} pass over the staged LSET, P-LSR's from the
+   cached norms, and the bandwidth available to backups. *)
+let ground_inputs ws scheme state =
+  let aplv = Net_state.aplv state in
   (match scheme with
-  | Dlsr -> Aplv.conflict_counts aplv ~edges:pedges ~n:ws.Ws.pedge_n ~into:term
-  | Plsr -> Aplv.blit_norms aplv term
+  | Dlsr ->
+      Aplv.conflict_counts aplv ~edges:ws.Ws.pedges ~n:ws.Ws.pedge_n
+        ~into:ws.Ws.term
+  | Plsr -> Aplv.blit_norms aplv ws.Ws.term
   | Spf -> ());
-  Resources.available_for_backup_into resources avail;
-  for e = 0 to edges - 1 do
+  Resources.available_for_backup_into (Net_state.resources state) ws.Ws.avail
+
+(* The bandwidth link [l] must have available for the query's backup: [bw]
+   on top of every reservation its own connection makes there, the
+   primary's and each earlier backup's (multiplicity counts, as admission
+   does). *)
+let[@inline] required ws ~bw l =
+  let ep = ws.Ws.epoch in
+  let own_shares =
+    (if ws.Ws.prim_link.(l) = ep then 1 else 0)
+    + if ws.Ws.earl_link.(l) = ep then ws.Ws.earl_n.(l) else 0
+  in
+  bw * (1 + own_shares)
+
+(* Stage 3: price every link.  [q.(e)] is the paper's large constant Q for
+   each of the primary's and the earlier backups' failure domains edge [e]
+   shares, computed once for its two links [2e] and [2e + 1] ({!Graph}'s
+   numbering).  Sharing is heavily penalised but not forbidden: a source
+   whose only attachment edge carries the primary has no disjoint
+   alternative, and the paper only requires minimal overlap; a second
+   backup matters exactly when the first cannot activate, so earlier
+   backups' domains get the same penalty.  [row.(l)] is [infinity] when
+   the link is dead or short of {!required}, and otherwise
+   [q +. term +. ε] in {!parts_total}'s association order. *)
+let price ws scheme state srlg ~singleton ~bw =
+  let ep = ws.Ws.epoch in
+  let prim_edge = ws.Ws.prim_edge
+  and earl_edge = ws.Ws.earl_edge
+  and prim_group = ws.Ws.prim_group
+  and earl_group = ws.Ws.earl_group
+  and term = ws.Ws.term
+  and avail = ws.Ws.avail
+  and qs = ws.Ws.q
+  and row = ws.Ws.row in
+  for e = 0 to Graph.edge_count (Net_state.graph state) - 1 do
     let dead = Net_state.edge_failed state ~edge:e in
     let q =
       if singleton then
@@ -325,52 +229,71 @@ let fill_cost_row scheme state ~primary ~earlier_backups ~bw =
         if Array.exists (fun g -> earl_group.(g) = ep) owners then q_constant
         else 0.0
     in
+    qs.(e) <- q;
     for l = 2 * e to (2 * e) + 1 do
-      let own_shares =
-        (if prim_link.(l) = ep then 1 else 0)
-        + if earl_link.(l) = ep then earl_n.(l) else 0
-      in
       row.(l) <-
-        (if dead || avail.(l) < bw * (1 + own_shares) then infinity
+        (if dead || avail.(l) < required ws ~bw l then infinity
          else
            match scheme with
            | Spf -> q +. 1.0 +. 0.0
            | Plsr | Dlsr -> q +. float_of_int term.(l) +. epsilon)
     done
-  done;
+  done
+
+(* Fill the workspace for one backup query, reading the inputs from the
+   ground truth, or from [advertised = (avail, term)], a view's per-link
+   available bandwidth and scheme term.  Returns the workspace. *)
+let fill_cost_row ?advertised scheme state ~primary ~earlier_backups ~bw =
+  let graph = Net_state.graph state in
+  let srlg = Net_state.srlg state in
+  let singleton = Srlg.is_singleton srlg in
+  let links = Graph.link_count graph in
+  let ws =
+    Ws.get
+      ~groups:(if singleton then 0 else Srlg.group_count srlg)
+      ~links ~edges:(Graph.edge_count graph) ()
+  in
+  stamp ws srlg ~singleton ~primary ~earlier_backups;
+  (match advertised with
+  | None -> ground_inputs ws scheme state
+  | Some (avail, term) ->
+      Array.blit avail 0 ws.Ws.avail 0 links;
+      Array.blit term 0 ws.Ws.term 0 links);
+  price ws scheme state srlg ~singleton ~bw;
   ws
+
+(* Link [l]'s decomposition, read back from the inputs {!price} read:
+   [Dead] or [No_bandwidth] exactly where [row.(l)] is [infinity], and
+   otherwise [Cost p] with [parts_total p = row.(l)] bit for bit. *)
+let verdict ws scheme state ~bw l =
+  let e = Graph.edge_of_link l in
+  let required = required ws ~bw l in
+  if Net_state.edge_failed state ~edge:e then Dead
+  else if ws.Ws.avail.(l) < required then No_bandwidth { required }
+  else
+    let q = ws.Ws.q.(e) in
+    match scheme with
+    | Spf -> Cost { q; conflict = 1.0; eps = 0.0 }
+    | Plsr | Dlsr ->
+        Cost { q; conflict = float_of_int ws.Ws.term.(l); eps = epsilon }
 
 let backup_cost_row ?(earlier_backups = []) scheme state ~primary ~bw =
   let ws = fill_cost_row scheme state ~primary ~earlier_backups ~bw in
   Array.sub ws.Ws.row 0 (Graph.link_count (Net_state.graph state))
 
-(* The backup search over a filled cost row: Dijkstra, or with a hop
-   budget the layered dynamic program. *)
-let search_row ?max_hops graph row ~src ~dst =
-  let found =
-    match max_hops with
-    | None -> Shortest_path.dijkstra_path graph ~cost:row ~src ~dst
-    | Some h ->
-        (* QoS-bounded backup (paper §2: a backup longer than the delay
-           budget allows is useless): cheapest conflict cost within the hop
-           budget. *)
-        Dr_topo.Constrained_path.cheapest_within_hops graph
-          ~cost:(fun l -> row.(l))
-          ~src ~dst ~max_hops:h
-  in
-  Option.map snd found
+let backup_verdicts ?(earlier_backups = []) scheme state ~primary ~bw =
+  let ws = fill_cost_row scheme state ~primary ~earlier_backups ~bw in
+  Array.init
+    (Graph.link_count (Net_state.graph state))
+    (verdict ws scheme state ~bw)
 
-(* Journal the chosen backup with its per-link cost decomposition.  The
-   network state is unchanged during route computation, so re-deriving the
-   verdicts here reproduces exactly the costs the search minimised. *)
-let journal_backup_chosen scheme state ~primary ~earlier_backups ~bw path =
-  let verdict =
-    backup_link_verdict_general scheme state ~primary ~earlier_backups ~bw
-  in
+(* Journal the chosen backup with its per-link cost decomposition, read
+   from the workspace the search just ran on. *)
+let journal_backup_chosen ws scheme state ~primary ~earlier_backups ~bw path =
   let links =
     List.map
       (fun l ->
-        match verdict l with
+        match verdict ws scheme state ~bw l with
         | Cost p ->
             { J.lc_link = l; lc_q = p.q; lc_conflict = p.conflict; lc_eps = p.eps }
         | Dead | No_bandwidth _ ->
@@ -389,27 +312,47 @@ let journal_backup_chosen scheme state ~primary ~earlier_backups ~bw path =
          links;
        })
 
-let find_backup_general ?max_hops scheme state ~primary ~earlier_backups ~bw =
-  let ws = fill_cost_row scheme state ~primary ~earlier_backups ~bw in
+(* The backup search over a filled workspace's row: Dijkstra, or with a hop
+   budget the layered dynamic program.  With [journal], a hit is journalled
+   when the journal is on. *)
+let search_row ?max_hops ~journal ws scheme state ~primary ~earlier_backups ~bw =
+  let graph = Net_state.graph state and row = ws.Ws.row in
+  let src = Path.src primary and dst = Path.dst primary in
   let found =
-    search_row ?max_hops (Net_state.graph state) ws.Ws.row ~src:(Path.src primary)
-      ~dst:(Path.dst primary)
+    match max_hops with
+    | None -> Shortest_path.dijkstra_path graph ~cost:row ~src ~dst
+    | Some h ->
+        (* QoS-bounded backup (paper §2: a backup longer than the delay
+           budget allows is useless): cheapest conflict cost within the hop
+           budget. *)
+        Dr_topo.Constrained_path.cheapest_within_hops graph
+          ~cost:(fun l -> row.(l))
+          ~src ~dst ~max_hops:h
   in
-  (match found with
-  | Some p when !J.on ->
-      journal_backup_chosen scheme state ~primary ~earlier_backups ~bw p
-  | Some _ | None -> ());
-  found
+  match found with
+  | Some (_, p) ->
+      if journal && !J.on then
+        journal_backup_chosen ws scheme state ~primary ~earlier_backups ~bw p;
+      Some p
+  | None -> None
+
+(* An advertised search is a view's: it journals nothing. *)
+let find_backup_general ?max_hops ?advertised scheme state ~primary
+    ~earlier_backups ~bw =
+  search_row ?max_hops ~journal:(Option.is_none advertised)
+    (fill_cost_row ?advertised scheme state ~primary ~earlier_backups ~bw)
+    scheme state ~primary ~earlier_backups ~bw
 
 let find_backup ?max_hops scheme state ~primary ~bw =
   find_backup_general ?max_hops scheme state ~primary ~earlier_backups:[] ~bw
 
-let collect_backups ?max_hops scheme state ~primary ~bw ~count ~existing =
+let collect_backups ?max_hops ?advertised scheme state ~primary ~bw ~count
+    ~existing =
   let rec collect earlier fresh k =
     if k = 0 then List.rev fresh
     else
       match
-        find_backup_general ?max_hops scheme state ~primary
+        find_backup_general ?max_hops ?advertised scheme state ~primary
           ~earlier_backups:earlier ~bw
       with
       | None -> List.rev fresh
@@ -429,6 +372,10 @@ let find_backups ?max_hops scheme state ~primary ~bw ~count =
 
 let additional_backups ?max_hops scheme state ~primary ~bw ~existing ~count =
   collect_backups ?max_hops scheme state ~primary ~bw ~count ~existing
+
+let find_advertised_backups ~avail ~term scheme state ~primary ~bw ~count =
+  collect_backups ~advertised:(avail, term) scheme state ~primary ~bw ~count
+    ~existing:[]
 
 (* ---- k-resilient backup chains ------------------------------------------- *)
 
@@ -478,7 +425,6 @@ let collect_chain ?max_hops scheme state ~primary ~bw ~count ~existing =
            { cm_path = p; cm_rank = base_rank + i; cm_disjoint = disjoint })
   else begin
     let graph = Net_state.graph state in
-    let src = Path.src primary and dst = Path.dst primary in
     let banned = Array.make (Srlg.group_count srlg) false in
     let ban p =
       Path.Link_set.iter
@@ -494,17 +440,16 @@ let collect_chain ?max_hops scheme state ~primary ~bw ~count ~existing =
        outright, so a hit is fully SRLG-disjoint from the primary and
        from every earlier chain member. *)
     let find_strict earlier =
-      let row =
-        (fill_cost_row scheme state ~primary ~earlier_backups:earlier ~bw).Ws.row
-      in
+      let ws = fill_cost_row scheme state ~primary ~earlier_backups:earlier ~bw in
       for l = 0 to Graph.link_count graph - 1 do
         if
           Array.exists
             (fun g -> banned.(g))
             (Srlg.groups_of_edge_arr srlg (Graph.edge_of_link l))
-        then row.(l) <- infinity
+        then ws.Ws.row.(l) <- infinity
       done;
-      search_row ?max_hops graph row ~src ~dst
+      search_row ?max_hops ~journal:true ws scheme state ~primary
+        ~earlier_backups:earlier ~bw
     in
     let rec collect earlier fresh rank k =
       if k = 0 then List.rev fresh
@@ -513,9 +458,6 @@ let collect_chain ?max_hops scheme state ~primary ~bw ~count ~existing =
         | Some p ->
             (* A strict hit can never duplicate the primary or an earlier
                member — their edges' groups are banned. *)
-            if !J.on then
-              journal_backup_chosen scheme state ~primary
-                ~earlier_backups:earlier ~bw p;
             ban p;
             collect (p :: earlier)
               ({ cm_path = p; cm_rank = rank; cm_disjoint = true } :: fresh)

@@ -28,24 +28,28 @@
       networks).
 
     {b Fast path.}  Route computations are the simulator's dominant cost,
-    so a backup search is a few linear passes over flat arrays.  The
-    query's route membership is stamped into a per-domain epoch workspace
-    instead of built as sets; then one pass fills a {e cost row}, a
-    [float array] in the same workspace holding {!backup_link_cost}'s
-    value for every link ({!backup_cost_row} returns a copy).  D-LSR's
-    term for every link comes from one scan of the edge-major APLV matrix
-    per primary edge ({!Aplv.conflict_counts}), P-LSR's from the cached
-    [‖APLV_i‖₁].  The SRLG chain search's strict pass writes [infinity]
-    over banned links in the same row.  Dijkstra
+    so a backup search is a few linear passes over flat arrays, and they
+    are the one place the backup price is computed.  A query runs in three
+    stages on a per-domain epoch workspace: it stamps the route membership
+    of the primary and the earlier backups instead of building sets; it
+    fills the per-link inputs, the bandwidth available to backups and the
+    scheme's term, from the ground truth (D-LSR's term from one scan of the
+    edge-major APLV matrix per primary edge, {!Aplv.conflict_counts};
+    P-LSR's from the cached [‖APLV_i‖₁]) or from an advertised view
+    ({!find_advertised_backups}); and it prices every link into a
+    {e cost row}, a [float array] in the same workspace.  Dijkstra
     ({!Dr_topo.Shortest_path.dijkstra_path}) and the hop-bounded search
-    read the row, on their own per-domain workspaces.  The explainable
-    form ({!backup_link_verdict}, which the journal uses) is computed
-    separately, the pre-row way.  The pre-change implementation is
-    retained verbatim in {!Routing_reference}; the differential harness
-    ({!Routing_check}, [drtp_sim check-routing]) asserts both pick
-    identical routes, with and without a hop budget, that every entry of
-    the cost row equals the oracle's verdict total bit for bit, and that
-    the {!cost_parts} decompositions are bit-identical. *)
+    read the row, on their own per-domain workspaces; the SRLG chain
+    search's strict pass writes [infinity] over banned links in it.  A
+    link's {!link_verdict}, which the [backup-chosen] journal event,
+    {!backup_verdicts} and [drtp_sim explain] show, is read back from the
+    inputs the row was priced from.  An independent implementation is
+    kept in {!Routing_reference}; the differential harness
+    ({!Routing_check}, [drtp_sim check-routing]) and a property test on
+    SRLG models assert that both pick identical routes, with and without a
+    hop budget, that every entry of the cost row equals the oracle's
+    verdict total bit for bit, and that the {!cost_parts} decompositions
+    are bit-identical. *)
 
 type scheme = Plsr | Dlsr | Spf
 
@@ -63,11 +67,6 @@ val q_constant : float
 val find_primary : Net_state.t -> src:int -> dst:int -> bw:int -> Dr_topo.Path.t option
 (** Minimum-hop feasible primary route, deterministic tie-break. *)
 
-val backup_link_cost :
-  scheme -> Net_state.t -> primary:Dr_topo.Path.t -> bw:int -> int -> float
-(** The cost assigned to one link when routing a backup for [primary];
-    [infinity] means infeasible. *)
-
 type cost_parts = {
   q : float;  (** Q-penalty for overlapping the primary's (or an earlier
                   backup's) failure domain *)
@@ -77,10 +76,9 @@ type cost_parts = {
 }
 
 val parts_total : cost_parts -> float
-(** [q +. conflict +. eps], associated left to right —
-    {!backup_link_cost} computes its finite costs through this exact
-    expression, so explained parts sum {e bit-identically} to the search
-    cost. *)
+(** [q +. conflict +. eps], associated left to right — the cost row's
+    finite entries are this exact expression, so explained parts sum
+    {e bit-identically} to the search cost. *)
 
 type link_verdict =
   | Dead  (** the link's edge is marked failed *)
@@ -88,19 +86,6 @@ type link_verdict =
       (** [capacity - prime_bw < required] (the requirement is doubled
           where the backup rides its own connection's links) *)
   | Cost of cost_parts  (** feasible, with the decomposed cost *)
-
-val backup_link_verdict :
-  ?earlier_backups:Dr_topo.Path.t list ->
-  scheme ->
-  Net_state.t ->
-  primary:Dr_topo.Path.t ->
-  bw:int ->
-  int ->
-  link_verdict
-(** The explainable form of {!backup_link_cost}: why a link is infeasible,
-    or the decomposition of its cost.  [backup_link_cost l] is [infinity]
-    exactly when the verdict is [Dead] or [No_bandwidth], and
-    [parts_total p] when it is [Cost p]. *)
 
 val backup_cost_row :
   ?earlier_backups:Dr_topo.Path.t list ->
@@ -110,10 +95,21 @@ val backup_cost_row :
   bw:int ->
   float array
 (** A fresh copy of the cost row the backup search runs on, one entry per
-    link: entry [l] is [parts_total p] when link [l]'s
-    {!backup_link_verdict} (with the same [earlier_backups]) is [Cost p],
-    and [infinity] otherwise — bit for bit.  For the differential
-    oracle. *)
+    link: the cost of link [l] for a backup of [primary] routed after
+    [earlier_backups] (default none), [infinity] when infeasible. *)
+
+val backup_verdicts :
+  ?earlier_backups:Dr_topo.Path.t list ->
+  scheme ->
+  Net_state.t ->
+  primary:Dr_topo.Path.t ->
+  bw:int ->
+  link_verdict array
+(** The explainable form of {!backup_cost_row}, read back from the inputs
+    the row is priced from: why each link is infeasible, or the
+    decomposition of its cost.  Entry [l] of the row is [infinity] exactly
+    when the verdict is [Dead] or [No_bandwidth], and [parts_total p],
+    bit for bit, when it is [Cost p]. *)
 
 val find_backup :
   ?max_hops:int ->
@@ -159,6 +155,23 @@ val additional_backups :
     the existing backups and the previously returned routes.  Used by the
     recovery reconfiguration step to top a connection back up to its
     target protection level. *)
+
+val find_advertised_backups :
+  avail:int array ->
+  term:int array ->
+  scheme ->
+  Net_state.t ->
+  primary:Dr_topo.Path.t ->
+  bw:int ->
+  count:int ->
+  Dr_topo.Path.t list
+(** {!find_backups} priced on advertised inputs instead of the ground
+    truth: [avail.(l)] is link [l]'s advertised [capacity - prime_bw] and
+    [term.(l)] its scheme term (the advertised [‖APLV_l‖₁] for P-LSR, the
+    advertised Conflict Vector counted over the primary's edge LSET for
+    D-LSR; ignored by SPF).  Edge failures, SRLGs and route membership
+    come from the state.  Journals nothing: it is a router's search on its
+    link-state database ({!Dr_proto.Advertised_view}), not an admission. *)
 
 (** {1 k-resilient backup chains (SRLG-aware)}
 

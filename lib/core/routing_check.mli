@@ -2,11 +2,11 @@
 
     Replays randomized admission workloads on Waxman graphs, querying
     {!Routing} (the incremental fast path) and {!Routing_reference} (the
-    verbatim pre-change code) side by side on the {e same} network state,
-    and records every disagreement: a different primary or backup route
-    (with and without a hop budget of the primary's length plus two), a
-    per-link {!Routing.cost_parts} decomposition that differs in any bit,
-    an entry of the cost row the fast search runs on
+    pre-change code) side by side on the {e same} network state, and
+    records every disagreement: a different primary or backup route (with
+    and without a hop budget of the primary's length plus two), a per-link
+    {!Routing.cost_parts} decomposition ({!Routing.backup_verdicts}) that
+    differs in any bit, an entry of the cost row the fast search runs on
     ({!Routing.backup_cost_row}) that differs in any bit from the oracle's
     verdict total, or a state that fails {!Net_state.check_invariants},
     which runs after every admit, release and churn step.

@@ -1,6 +1,6 @@
 (* Reference (oracle) implementation of the routing layer.
 
-   This module is the routing code exactly as it stood before the
+   This module is the routing code as it stood before the
    incremental fast path landed: per-query allocation of every search
    array, set-based membership tests, and scheme cost terms read through
    {!Aplv}'s per-link accessors on every Dijkstra relaxation (a list walk
@@ -8,20 +8,26 @@
    Both sides read the same APLV matrix; {!Net_state.check_invariants}
    is what checks that store against the connection table.  It is kept as
    an executable specification: the differential harness
-   ({!Routing_check}, `drtp_sim check-routing`, the qcheck property suite)
+   ({!Routing_check}, `drtp_sim check-routing`, the qcheck property suites)
    asserts that {!Routing} picks identical routes with bit-identical cost
    decompositions, and the benchmark reports the fast path's speedup
    against it.
 
-   Two deliberate deltas from the historical code, neither observable in
-   results: flight-recorder hooks are stripped (the oracle must not
-   double-journal routes when run next to the live path), and the pre-workspace BFS/Dijkstra bodies
-   are inlined here instead of calling {!Dr_topo.Shortest_path} (whose
-   single-pair queries now run on the fast workspaces). *)
+   Three deliberate deltas from the historical code.  The Q term is
+   SRLG-aware: a link shares the primary's (or an earlier backup's)
+   failure domain when its edge belongs to a group one of their edges
+   belongs to, the rule {!Routing} prices by; under the singleton model
+   groups are edges, so this is the historical edge test bit for bit.
+   Flight-recorder hooks are stripped (the oracle must not double-journal
+   routes when run next to the live path).  The pre-workspace
+   BFS/Dijkstra bodies are inlined here instead of calling
+   {!Dr_topo.Shortest_path} (whose single-pair queries now run on the fast
+   workspaces). *)
 
 module Graph = Dr_topo.Graph
 module Path = Dr_topo.Path
 module Pqueue = Dr_pqueue.Pqueue
+module Srlg = Dr_resilience.Srlg
 
 type scheme = Routing.scheme = Plsr | Dlsr | Spf
 
@@ -157,6 +163,26 @@ let backup_link_verdict_general scheme state ~primary ~earlier_backups ~bw =
       (fun acc b -> Path.Link_set.union acc (Path.edge_set b))
       Path.Link_set.empty earlier_backups
   in
+  (* Failure domains are SRLG groups: a link shares the primary's (or an
+     earlier backup's) fate when its edge belongs to any group one of
+     their edges belongs to. *)
+  let srlg = Net_state.srlg state in
+  let group_set edges =
+    Path.Link_set.fold
+      (fun e acc ->
+        Array.fold_left
+          (fun acc g -> Path.Link_set.add g acc)
+          acc
+          (Srlg.groups_of_edge_arr srlg e))
+      edges Path.Link_set.empty
+  in
+  let primary_groups = group_set primary_edges
+  and earlier_groups = group_set earlier_edges in
+  let shares groups e =
+    Array.exists
+      (fun g -> Path.Link_set.mem g groups)
+      (Srlg.groups_of_edge_arr srlg e)
+  in
   fun l ->
     let own_shares =
       (if Path.Link_set.mem l primary_links then 1 else 0)
@@ -169,8 +195,8 @@ let backup_link_verdict_general scheme state ~primary ~earlier_backups ~bw =
     else
       let q =
         let e = Graph.edge_of_link l in
-        (if Path.Link_set.mem e primary_edges then q_constant else 0.0)
-        +. if Path.Link_set.mem e earlier_edges then q_constant else 0.0
+        (if shares primary_groups e then q_constant else 0.0)
+        +. if shares earlier_groups e then q_constant else 0.0
       in
       match scheme with
       | Spf -> Cost { q; conflict = 1.0; eps = 0.0 }
@@ -204,9 +230,6 @@ let backup_link_cost_general scheme state ~primary ~earlier_backups ~bw =
     | Dead -> infinity
     | No_bandwidth _ -> infinity
     | Cost p -> parts_total p
-
-let backup_link_cost scheme state ~primary ~bw =
-  backup_link_cost_general scheme state ~primary ~earlier_backups:[] ~bw
 
 let find_backup_general ?max_hops scheme state ~primary ~earlier_backups ~bw =
   let cost = backup_link_cost_general scheme state ~primary ~earlier_backups ~bw in

@@ -1,15 +1,16 @@
-(** Reference (oracle) routing implementation — the exact pre-fast-path
-    code, kept executable.
+(** Reference (oracle) routing implementation — the pre-fast-path code,
+    kept executable, with the Q term generalised to SRLG groups (the
+    historical edge test under the singleton model).
 
     Same interface as {!Routing} (every type is an equation on
     {!Routing}'s, so values interoperate), but every query is computed the
     slow, obviously-correct way: fresh search arrays per call, set-based
-    membership, scheme cost terms read link by link through {!Aplv}'s
-    accessors rather than filled into a cost row in one pass.  Both
-    sides read the same store, which {!Net_state.check_invariants} checks
-    against the connection table.  No journal
-    events: an oracle run must not perturb the observability of the live
-    path it is checked against.
+    membership of edges and SRLG groups, scheme cost terms read link by
+    link through {!Aplv}'s accessors rather than filled into a cost row in
+    one pass.  Both sides read the same store, which
+    {!Net_state.check_invariants} checks against the connection table.  No
+    journal events: an oracle run must not perturb the observability of
+    the live path it is checked against.
 
     Used by the differential harness ({!Routing_check},
     [drtp_sim check-routing], the qcheck differential suite) and by the
@@ -44,9 +45,6 @@ type link_verdict = Routing.link_verdict =
   | No_bandwidth of { required : int }
   | Cost of cost_parts
 
-val backup_link_cost :
-  scheme -> Net_state.t -> primary:Dr_topo.Path.t -> bw:int -> int -> float
-
 val backup_link_verdict :
   ?earlier_backups:Dr_topo.Path.t list ->
   scheme ->
@@ -55,6 +53,10 @@ val backup_link_verdict :
   bw:int ->
   int ->
   link_verdict
+(** Why link [l] cannot carry a backup of [primary] routed after
+    [earlier_backups] (default none), or the decomposition of its cost:
+    the independent pricing {!Routing.backup_verdicts} and
+    {!Routing.backup_cost_row} are checked against. *)
 
 val find_backup :
   ?max_hops:int ->

@@ -39,10 +39,10 @@ val set_enabled : bool -> unit
 
 (** {1 Events} *)
 
-(** One link's backup-route cost, decomposed exactly as
-    [Drtp.Routing.backup_link_cost] computes it: the total is
+(** One link's backup-route cost, decomposed as the cost row the search
+    ran on priced it ([Drtp.Routing.backup_verdicts]): the total is
     [lc_q +. lc_conflict +. lc_eps] in that association order, so the
-    parts sum {e bit-exactly} to the scheme's link cost. *)
+    parts sum {e bit-exactly} to the row entry the search compared. *)
 type link_cost = {
   lc_link : int;
   lc_q : float;  (** Q-penalty for sharing a failure domain with the

@@ -82,76 +82,20 @@ let find_primary t state ~src ~dst ~bw =
   let usable l = link_alive state l && t.free.(l) >= bw in
   Dr_topo.Shortest_path.min_hop_path (Net_state.graph state) ~usable ~src ~dst ()
 
-(* Mirror of Drtp.Routing.backup_link_cost_general, reading the view. *)
-let backup_cost t state ~scheme ~primary ~earlier ~bw =
-  let primary_edges = Path.edge_set primary in
-  let primary_edge_list = Path.Link_set.elements primary_edges in
-  let primary_links = Path.lset primary in
-  (* Exact per-link share counts over the earlier backups, mirroring
-     {!Drtp.Routing}: multiplicity matters when two earlier members share
-     a link. *)
-  let earlier_share_count =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun b ->
-        List.iter
-          (fun l ->
-            Hashtbl.replace tbl l
-              (1 + Option.value (Hashtbl.find_opt tbl l) ~default:0))
-          (Path.links b))
-      earlier;
-    tbl
-  in
-  let earlier_edges =
-    List.fold_left
-      (fun acc b -> Path.Link_set.union acc (Path.edge_set b))
-      Path.Link_set.empty earlier
-  in
-  fun l ->
-    let own_shares =
-      (if Path.Link_set.mem l primary_links then 1 else 0)
-      + Option.value (Hashtbl.find_opt earlier_share_count l) ~default:0
-    in
-    let required = bw * (1 + own_shares) in
-    if not (link_alive state l) then infinity
-    else if t.avail.(l) < required then infinity
-    else
-      let q =
-        let e = Graph.edge_of_link l in
-        (if Path.Link_set.mem e primary_edges then Routing.q_constant else 0.0)
-        +.
-        if Path.Link_set.mem e earlier_edges then Routing.q_constant else 0.0
-      in
-      match scheme with
-      | Routing.Spf -> q +. 1.0
-      | Routing.Plsr -> q +. float_of_int t.norm1.(l) +. Routing.epsilon
-      | Routing.Dlsr ->
-          q
-          +. float_of_int
-               (Drtp.Conflict_vector.conflict_count_with t.cv.(l)
-                  ~edge_lset:primary_edge_list)
-          +. Routing.epsilon
-
+(* The view hands Routing its advertised inputs; Routing prices and
+   searches them. *)
 let find_backups t state ~scheme ~primary ~bw ~count =
-  let graph = Net_state.graph state in
-  let rec collect earlier fresh k =
-    if k = 0 then List.rev fresh
-    else
-      let cost = backup_cost t state ~scheme ~primary ~earlier ~bw in
-      match
-        Dr_topo.Shortest_path.dijkstra_path graph
-          ~cost:(Array.init (Graph.link_count graph) cost)
-          ~src:(Path.src primary) ~dst:(Path.dst primary)
-      with
-      | None -> List.rev fresh
-      | Some (_, b) ->
-          if
-            Path.links b = Path.links primary
-            || List.exists (fun b' -> Path.links b' = Path.links b) earlier
-          then List.rev fresh
-          else collect (b :: earlier) (b :: fresh) (k - 1)
+  let term =
+    match scheme with
+    | Routing.Dlsr ->
+        let edge_lset = Path.Link_set.elements (Path.edge_set primary) in
+        Array.map
+          (fun cv -> Drtp.Conflict_vector.conflict_count_with cv ~edge_lset)
+          t.cv
+    | Routing.Plsr | Routing.Spf -> t.norm1
   in
-  collect [] [] count
+  Routing.find_advertised_backups ~avail:t.avail ~term scheme state ~primary
+    ~bw ~count
 
 let route t state ~scheme ~backup_count ~src ~dst ~bw =
   match find_primary t state ~src ~dst ~bw with

@@ -66,8 +66,13 @@ val staleness_count : t -> Drtp.Net_state.t -> int
 (** {1 Routing on the advertised view}
 
     Same algorithms as {!Drtp.Routing}, with every bandwidth and conflict
-    read taken from the view.  Failed edges are excluded from routing (the
-    adjacency of a dead link is learned immediately by its neighbours). *)
+    read taken from the view: a backup search hands the view's available
+    bandwidth and scheme term ([‖APLV‖₁] for P-LSR, the Conflict Vectors
+    counted over the primary's edge LSET for D-LSR) to
+    {!Drtp.Routing.find_advertised_backups}, which prices and searches
+    them the way it does the ground truth.  Failed edges are excluded from
+    routing (the adjacency of a dead link is learned immediately by its
+    neighbours).  View searches record no journal events. *)
 
 val find_primary :
   t -> Drtp.Net_state.t -> src:int -> dst:int -> bw:int -> Dr_topo.Path.t option

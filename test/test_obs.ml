@@ -249,10 +249,12 @@ let test_verdict_matches_cost () =
   let checked = ref 0 and feasible = ref 0 in
   List.iter
     (fun scheme ->
+      let row = Routing.backup_cost_row scheme state ~primary ~bw:1
+      and verdicts = Routing.backup_verdicts scheme state ~primary ~bw:1 in
       Dr_topo.Graph.iter_links graph (fun l ->
           incr checked;
-          let cost = Routing.backup_link_cost scheme state ~primary ~bw:1 l in
-          match Routing.backup_link_verdict scheme state ~primary ~bw:1 l with
+          let cost = row.(l) in
+          match verdicts.(l) with
           | Routing.Cost p ->
               incr feasible;
               (* Bit-exact, not approximately equal: the explain table's row

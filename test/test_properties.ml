@@ -385,6 +385,87 @@ let prop_flood_candidates_valid =
           && Path.src p = src && Path.dst p = dst)
         r.Dr_flood.Bounded_flood.candidates)
 
+(* --- the SRLG oracle ---------------------------------------------------- *)
+
+(* On Waxman graphs under random partition and overlay SRLG models, with
+   random admissions, releases and edge failures in between: every entry
+   of the cost row the backup search runs on equals the total of the
+   reference's SRLG-aware verdict bit for bit, with no earlier backup and
+   with one, and the fast path's verdicts are the reference's
+   decompositions. *)
+let prop_cost_row_matches_srlg_oracle =
+  property ~count:25 "cost row and verdicts = SRLG-aware oracle" seed_gen
+    (fun seed ->
+      let module R = Drtp.Routing in
+      let module Ref = Drtp.Routing_reference in
+      let module Srlg = Dr_resilience.Srlg in
+      let rng = Rng.create seed in
+      let n = 20 in
+      let graph = Dr_topo.Gen.waxman ~rng ~n ~avg_degree:3.2 () in
+      let edge_count = Graph.edge_count graph in
+      let srlg =
+        if Rng.int rng 2 = 0 then
+          Srlg.random_partition ~seed ~edge_count ~mean_size:(2 + Rng.int rng 3)
+        else
+          Srlg.random_overlay ~seed ~edge_count ~extra:(1 + Rng.int rng 6)
+            ~size:(2 + Rng.int rng 3)
+      in
+      let state =
+        Net_state.create_srlg ~srlg ~graph ~capacity:6
+          ~spare_policy:Net_state.Multiplexed
+      in
+      let bits = Int64.bits_of_float in
+      let same_verdict a b =
+        match (a, b) with
+        | R.Dead, R.Dead -> true
+        | R.No_bandwidth { required = x }, R.No_bandwidth { required = y } -> x = y
+        | R.Cost p, R.Cost p' ->
+            bits p.R.q = bits p'.R.q
+            && bits p.R.conflict = bits p'.R.conflict
+            && bits p.R.eps = bits p'.R.eps
+        | _ -> false
+      in
+      let check scheme ~primary ~earlier_backups ~bw =
+        let row = R.backup_cost_row ~earlier_backups scheme state ~primary ~bw
+        and fast = R.backup_verdicts ~earlier_backups scheme state ~primary ~bw
+        and oracle = Ref.backup_link_verdict ~earlier_backups scheme state ~primary ~bw in
+        Graph.iter_links graph (fun l ->
+            let v = oracle l in
+            let total =
+              match v with R.Cost p -> R.parts_total p | R.Dead | R.No_bandwidth _ -> infinity
+            in
+            if bits row.(l) <> bits total || not (same_verdict fast.(l) v) then
+              QCheck.Test.fail_reportf "%s link %d (%d earlier): row %h, oracle total %h"
+                (R.scheme_name scheme) l (List.length earlier_backups) row.(l) total)
+      in
+      let active = ref [] in
+      for step = 1 to 40 do
+        let src, dst = random_pair rng n in
+        let bw = 1 + Rng.int rng 2 in
+        let scheme = List.nth [ R.Plsr; R.Dlsr; R.Spf ] (Rng.int rng 3) in
+        (match R.find_primary state ~src ~dst ~bw with
+        | None -> ()
+        | Some primary -> (
+            check scheme ~primary ~earlier_backups:[] ~bw;
+            match R.find_backups scheme state ~primary ~bw ~count:2 with
+            | [] -> ()
+            | first :: _ as backups ->
+                check scheme ~primary ~earlier_backups:[ first ] ~bw;
+                ignore (Net_state.admit state ~id:step ~bw ~primary ~backups : Net_state.conn);
+                active := step :: !active));
+        (match !active with
+        | id :: rest when Rng.int rng 4 = 0 ->
+            Net_state.release state ~id;
+            active := rest
+        | _ -> ());
+        if step mod 10 = 0 then begin
+          let e = Rng.int rng edge_count in
+          if Net_state.edge_failed state ~edge:e then Net_state.restore_edge state ~edge:e
+          else Net_state.fail_edge state ~edge:e
+        end
+      done;
+      true)
+
 let suite =
   [
     ( "properties",
@@ -407,5 +488,6 @@ let suite =
         prop_manager_invariants_bf;
         prop_no_deficit_means_full_fault_tolerance;
         prop_flood_candidates_valid;
+        prop_cost_row_matches_srlg_oracle;
       ] );
   ]

@@ -173,12 +173,15 @@ let prop_fresh_view_routes_like_ground_truth =
       match Routing.find_primary state ~src ~dst ~bw:1 with
       | None -> true
       | Some primary ->
-          let a =
-            Dr_proto.Advertised_view.find_backups view state ~scheme:Routing.Dlsr
-              ~primary ~bw:1 ~count:1
-          in
-          let b = Routing.find_backups Routing.Dlsr state ~primary ~bw:1 ~count:1 in
-          List.map Path.links a = List.map Path.links b)
+          List.for_all
+            (fun (scheme, count) ->
+              let a =
+                Dr_proto.Advertised_view.find_backups view state ~scheme ~primary
+                  ~bw:1 ~count
+              in
+              let b = Routing.find_backups scheme state ~primary ~bw:1 ~count in
+              List.map Path.links a = List.map Path.links b)
+            [ (Routing.Dlsr, 1); (Routing.Plsr, 2); (Routing.Dlsr, 2); (Routing.Spf, 2) ])
 
 let prop_node_eval_consistent_with_pair =
   property ~count:15 "degree-2 node failure = its edge-pair failure" seed_gen

@@ -50,12 +50,18 @@ let test_view_route_matches_ground_truth_when_fresh () =
        ~backups:[ path g [ 0; 3; 6; 7; 8 ] ]);
   let view = View.create st in
   let primary = path g [ 3; 4; 5 ] in
-  let from_view =
-    View.find_backups view st ~scheme:Routing.Dlsr ~primary ~bw:1 ~count:1
-  in
-  let from_truth = Routing.find_backups Routing.Dlsr st ~primary ~bw:1 ~count:1 in
-  Alcotest.(check bool) "identical backup choice" true
-    (List.map Path.links from_view = List.map Path.links from_truth)
+  (* Two backups exercise the pricing of later backups against the
+     earlier ones. *)
+  List.iter
+    (fun (scheme, count) ->
+      let from_view = View.find_backups view st ~scheme ~primary ~bw:1 ~count in
+      let from_truth = Routing.find_backups scheme st ~primary ~bw:1 ~count in
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "identical backup choice (%s, %d)"
+           (Routing.scheme_name scheme) count)
+        (List.map Path.links from_truth)
+        (List.map Path.links from_view))
+    [ (Routing.Dlsr, 1); (Routing.Plsr, 2); (Routing.Dlsr, 2); (Routing.Spf, 2) ]
 
 let request ~time ~conn ~src ~dst ~duration =
   { Scenario.time; event = Scenario.Request { conn; src; dst; bw = 1; duration } }

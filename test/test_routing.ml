@@ -91,14 +91,14 @@ let test_dlsr_distinguishes_conflicts () =
      with B1 creates NO conflict: D-LSR may take the short bottom route.  The
      link costs must reflect that. *)
   let primary = path g [ 3; 4; 5 ] in
-  let cost = Routing.backup_link_cost Routing.Dlsr st ~primary ~bw:1 in
-  Alcotest.(check (float 1e-6)) "no conflict on 6->7" Routing.epsilon (cost (link g 6 7));
+  let cost = Routing.backup_cost_row Routing.Dlsr st ~primary ~bw:1 in
+  Alcotest.(check (float 1e-6)) "no conflict on 6->7" Routing.epsilon cost.(link g 6 7);
   (* Whereas a primary overlapping conn 1's primary does conflict there. *)
   let overlapping = path g [ 0; 1; 2 ] in
-  let cost2 = Routing.backup_link_cost Routing.Dlsr st ~primary:overlapping ~bw:1 in
+  let cost2 = Routing.backup_cost_row Routing.Dlsr st ~primary:overlapping ~bw:1 in
   Alcotest.(check (float 1e-6)) "two shared failure domains on 6->7"
     (2.0 +. Routing.epsilon)
-    (cost2 (link g 6 7))
+    cost2.(link g 6 7)
 
 let test_plsr_cost_is_norm () =
   let g, st = mesh_state () in
@@ -106,26 +106,26 @@ let test_plsr_cost_is_norm () =
     (Net_state.admit st ~id:1 ~bw:1 ~primary:(path g [ 0; 1; 2; 5; 8 ])
        ~backups:[ path g [ 0; 3; 6; 7; 8 ] ]);
   let primary = path g [ 3; 4; 5 ] in
-  let cost = Routing.backup_link_cost Routing.Plsr st ~primary ~bw:1 in
+  let cost = Routing.backup_cost_row Routing.Plsr st ~primary ~bw:1 in
   (* P1 has 4 edges, all feeding APLV of 6->7: P-LSR cannot tell the
      conflicts are harmless. *)
-  Alcotest.(check (float 1e-6)) "norm cost" (4.0 +. Routing.epsilon) (cost (link g 6 7))
+  Alcotest.(check (float 1e-6)) "norm cost" (4.0 +. Routing.epsilon) cost.(link g 6 7)
 
 let test_q_penalty_on_primary_edges () =
   let g, st = mesh_state () in
   let primary = path g [ 0; 1; 2 ] in
-  let cost = Routing.backup_link_cost Routing.Dlsr st ~primary ~bw:1 in
+  let cost = Routing.backup_cost_row Routing.Dlsr st ~primary ~bw:1 in
   Alcotest.(check bool) "Q on the primary's own edge" true
-    (cost (link g 0 1) >= Routing.q_constant);
+    (cost.(link g 0 1) >= Routing.q_constant);
   Alcotest.(check bool) "Q on the reverse direction too" true
-    (cost (link g 1 0) >= Routing.q_constant)
+    (cost.(link g 1 0) >= Routing.q_constant)
 
 let test_bandwidth_infeasible_excluded () =
   let g, st = mesh_state ~capacity:1 () in
   ignore (Net_state.admit st ~id:1 ~bw:1 ~primary:(path g [ 3; 4 ]) ~backups:[]);
   let primary = path g [ 0; 1; 2 ] in
-  let cost = Routing.backup_link_cost Routing.Dlsr st ~primary ~bw:1 in
-  Alcotest.(check (float 1e-6)) "full link infinite" infinity (cost (link g 3 4))
+  let cost = Routing.backup_cost_row Routing.Dlsr st ~primary ~bw:1 in
+  Alcotest.(check (float 1e-6)) "full link infinite" infinity cost.(link g 3 4)
 
 let test_route_fn_rejects () =
   let g, st = mesh_state ~capacity:1 () in

@@ -222,29 +222,27 @@ let prop_speculate_bit_identity =
       | Error msg -> QCheck.Test.fail_reportf "caches after undo: %s" msg);
       (* The fast routing path must still agree with the reference oracle on
          the restored state (both read the APLV rows that the invariant
-         check above compared with the connection table).  The oracle
-         predates SRLG-aware backup costs, so it is only consulted under the
-         singleton model. *)
+         check above compared with the connection table), under the
+         singleton model and the SRLG partitions alike. *)
       let n = Graph.node_count graph in
-      if Srlg.is_singleton (Net_state.srlg state) then
-        for _ = 1 to 4 do
-          let src, dst = Dist.pick_distinct_pair rng n in
-          let bw = Dist.uniform_int rng ~lo:1 ~hi:2 in
-          let fast = Routing.find_primary state ~src ~dst ~bw in
-          let oracle = Routing_reference.find_primary state ~src ~dst ~bw in
-          let links = Option.map Path.links in
-          if links fast <> links oracle then
-            QCheck.Test.fail_reportf "primary fast<>oracle after undo";
-          match fast with
-          | None -> ()
-          | Some primary ->
-              let fb = Routing.find_backups scheme state ~primary ~bw ~count:2 in
-              let ob =
-                Routing_reference.find_backups scheme state ~primary ~bw ~count:2
-              in
-              if List.map Path.links fb <> List.map Path.links ob then
-                QCheck.Test.fail_reportf "backups fast<>oracle after undo"
-        done;
+      for _ = 1 to 4 do
+        let src, dst = Dist.pick_distinct_pair rng n in
+        let bw = Dist.uniform_int rng ~lo:1 ~hi:2 in
+        let fast = Routing.find_primary state ~src ~dst ~bw in
+        let oracle = Routing_reference.find_primary state ~src ~dst ~bw in
+        let links = Option.map Path.links in
+        if links fast <> links oracle then
+          QCheck.Test.fail_reportf "primary fast<>oracle after undo";
+        match fast with
+        | None -> ()
+        | Some primary ->
+            let fb = Routing.find_backups scheme state ~primary ~bw ~count:2 in
+            let ob =
+              Routing_reference.find_backups scheme state ~primary ~bw ~count:2
+            in
+            if List.map Path.links fb <> List.map Path.links ob then
+              QCheck.Test.fail_reportf "backups fast<>oracle after undo"
+      done;
       let after = manager_digest graph m in
       if before <> after then
         QCheck.Test.fail_reportf "state digest changed across speculation";
