@@ -173,9 +173,12 @@ let length t = min t.appended (Array.length t.ring)
 let recorded t = t.appended
 let dropped t = max 0 (t.appended - Array.length t.ring)
 
+(* A ring of capacity 0 is the private sink of [discarding]: it counts and
+   keeps nothing. *)
 let push t ~time event =
   let cap = Array.length t.ring in
-  t.ring.(t.appended mod cap) <- Some { seq = t.appended; time; event };
+  if cap > 0 then
+    t.ring.(t.appended mod cap) <- Some { seq = t.appended; time; event };
   t.appended <- t.appended + 1
 
 (* Every live recording goes through here: the per-kind count is taken
@@ -355,7 +358,9 @@ type captured = { c_entries : entry list; c_totals : int array }
 
 let captured_entries c = c.c_entries
 
-let capture ?capacity ?trace_seed f =
+(* Run [f] against [buf] with the clock reset to 0 and, given a seed, a
+   fresh causal context; both are restored on either exit. *)
+let isolated buf ?trace_seed f =
   let c = ctx () in
   let saved_now = c.sim_now in
   let saved_rng = c.c_rng in
@@ -368,36 +373,44 @@ let capture ?capacity ?trace_seed f =
       c.c_next_span <- 0;
       c.c_stack <- []
   | None -> ());
-  let buf = create ?capacity () in
   let finish () =
     c.sim_now <- saved_now;
-    (match trace_seed with
+    match trace_seed with
     | Some _ ->
         c.c_rng <- saved_rng;
         c.c_next_span <- saved_span;
         c.c_stack <- saved_stack
-    | None -> ())
-  in
-  let captured () =
-    let es = entries buf in
-    (* Surface ring overwrite instead of silently handing back a window:
-       downstream consumers (trace assembly in particular) must know the
-       DAG may be missing its oldest spans. *)
-    let c_entries =
-      if dropped buf > 0 then
-        { seq = 0; time = 0.0; event = Ring_dropped { count = dropped buf } }
-        :: es
-      else es
-    in
-    { c_entries; c_totals = buf.totals }
+    | None -> ()
   in
   match with_buffer buf f with
   | v ->
       finish ();
-      (v, captured ())
+      v
   | exception e ->
       finish ();
       raise e
+
+let capture ?capacity ?trace_seed f =
+  let buf = create ?capacity () in
+  let v = isolated buf ?trace_seed f in
+  let es = entries buf in
+  (* Surface ring overwrite instead of silently handing back a window:
+     downstream consumers (trace assembly in particular) must know the
+     DAG may be missing its oldest spans. *)
+  let c_entries =
+    if dropped buf > 0 then
+      { seq = 0; time = 0.0; event = Ring_dropped { count = dropped buf } }
+      :: es
+    else es
+  in
+  (v, { c_entries; c_totals = buf.totals })
+
+let discarding ?trace_seed f =
+  let sink =
+    { ring = [||]; totals = Array.make (Array.length kind_names) 0; appended = 0;
+      trace_epochs = 0 }
+  in
+  isolated sink ?trace_seed f
 
 (* The entries are re-appended uncounted and the task's exact totals added
    instead: counting the entries would miss what the task's ring overwrote

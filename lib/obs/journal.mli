@@ -360,6 +360,12 @@ val capture : ?capacity:int -> ?trace_seed:int -> (unit -> 'a) -> 'a * captured
     {!Causal.alloc_trace_epochs} block) and span ids in the merged
     journal are byte-identical for any job count. *)
 
+val discarding : ?trace_seed:int -> (unit -> 'a) -> 'a
+(** {!capture} that keeps nothing: the thunk runs with the same clock
+    reset, causal-context reset (given [trace_seed]) and restore, so its
+    spans draw the same trace ids, but what it records is dropped as it is
+    recorded and no ring is allocated. *)
+
 val merge : t -> captured -> unit
 (** Re-append a capture's entries (coordinator side) and add its totals.
     Sequence numbers are re-stamped by the receiving buffer; timestamps

@@ -1,300 +1,200 @@
 (* Checkpoint files: one Manager.Serial.repr serialised as a single
    CRC-guarded JSON line, written atomically (tmp + rename) so a crash
    mid-checkpoint leaves the previous checkpoint intact.  Floats (times)
-   are stored as exact IEEE-754 bits in hex; every other field is a plain
-   integer, so a round-trip is bit-exact by construction. *)
+   are stored as exact IEEE-754 bits in hex and the rest as integers,
+   flags and strings in Codec's canonical spellings, so a round-trip is
+   bit-exact by construction. *)
 
-module J = Dr_obs.Journal
+module C = Codec
 open Drtp
 
 type t = { ck_wal_seq : int; ck_time : float; ck_repr : Manager.Serial.repr }
 
 let version = 1
-let hex_of_float f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
-let float_of_hex s = Int64.float_of_bits (Int64.of_string ("0x" ^ s))
 
 (* ---- encoding ------------------------------------------------------------ *)
 
-let add_int_array b arr =
-  Buffer.add_char b '[';
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int v))
-    arr;
-  Buffer.add_char b ']'
+(* The writer and the reader below list the fields in the same order: the
+   pair is the schema. *)
 
-let add_int_list b xs =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int v))
-    xs;
-  Buffer.add_char b ']'
+let write_conn w (c : Net_state.Serial.conn_repr) =
+  C.add_lit w "{\"id\":";
+  C.add_int w c.r_id;
+  C.add_int_field w "src" c.r_src;
+  C.add_int_field w "dst" c.r_dst;
+  C.add_int_field w "bw" c.r_bw;
+  C.add_key w "deg";
+  C.add_bit w c.r_degraded;
+  C.add_key w "p";
+  C.add_ints w c.r_primary;
+  C.add_key w "b";
+  C.add_list w C.add_ints c.r_backups;
+  C.add_char w '}'
 
-let encode { ck_wal_seq; ck_time; ck_repr = r } =
-  let b = Buffer.create (1 lsl 12) in
-  Buffer.add_string b
-    (Printf.sprintf "{\"v\":%d,\"wal_seq\":%d,\"t\":\"%s\"" version ck_wal_seq
-       (hex_of_float ck_time));
+let write_reprotect w (e : Manager.Serial.reprotect_repr) =
+  C.add_lit w "{\"id\":";
+  C.add_int w e.rr_id;
+  C.add_string_field w "scheme" e.rr_scheme;
+  C.add_int_field w "count" e.rr_count;
+  C.add_bits_field w "since" e.rr_since;
+  C.add_int_field w "trace" e.rr_trace;
+  C.add_int_field w "span" e.rr_span;
+  C.add_char w '}'
+
+let write w { ck_wal_seq; ck_time; ck_repr = r } =
   let ns = r.Manager.Serial.m_state in
-  Buffer.add_string b ",\"prime\":";
-  add_int_array b ns.Net_state.Serial.r_prime;
-  Buffer.add_string b ",\"spare\":";
-  add_int_array b ns.Net_state.Serial.r_spare;
-  Buffer.add_string b ",\"failed\":";
-  Buffer.add_char b '[';
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b (if v then '1' else '0'))
-    ns.Net_state.Serial.r_failed;
-  Buffer.add_char b ']';
-  Buffer.add_string b
-    (Printf.sprintf ",\"aplv_updates\":%d" ns.Net_state.Serial.r_aplv_updates);
-  Buffer.add_string b ",\"conns\":[";
-  List.iteri
-    (fun i (c : Net_state.Serial.conn_repr) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"id\":%d,\"src\":%d,\"dst\":%d,\"bw\":%d,\"deg\":%d,\"p\":"
-           c.r_id c.r_src c.r_dst c.r_bw
-           (if c.r_degraded then 1 else 0));
-      add_int_list b c.r_primary;
-      Buffer.add_string b ",\"b\":[";
-      List.iteri
-        (fun j bk ->
-          if j > 0 then Buffer.add_char b ',';
-          add_int_list b bk)
-        c.r_backups;
-      Buffer.add_string b "]}")
-    ns.Net_state.Serial.r_conns;
-  Buffer.add_char b ']';
+  C.add_lit w "{\"v\":";
+  C.add_int w version;
+  C.add_int_field w "wal_seq" ck_wal_seq;
+  C.add_bits_field w "t" ck_time;
+  C.add_key w "prime";
+  C.add_array w C.add_int ns.Net_state.Serial.r_prime;
+  C.add_key w "spare";
+  C.add_array w C.add_int ns.Net_state.Serial.r_spare;
+  C.add_key w "failed";
+  C.add_array w C.add_bit ns.Net_state.Serial.r_failed;
+  C.add_int_field w "aplv_updates" ns.Net_state.Serial.r_aplv_updates;
+  C.add_key w "conns";
+  C.add_list w write_conn ns.Net_state.Serial.r_conns;
   let st = r.Manager.Serial.m_stats in
-  Buffer.add_string b
-    (Printf.sprintf ",\"stats\":[%d,%d,%d,%d,%d,%d,%d]" st.Manager.requests
-       st.Manager.accepted st.Manager.rejected_no_primary
-       st.Manager.rejected_no_backup st.Manager.released st.Manager.degraded
-       st.Manager.unprotected);
+  C.add_key w "stats";
+  C.add_ints w
+    [
+      st.Manager.requests;
+      st.Manager.accepted;
+      st.Manager.rejected_no_primary;
+      st.Manager.rejected_no_backup;
+      st.Manager.released;
+      st.Manager.degraded;
+      st.Manager.unprotected;
+    ];
   let rs = r.Manager.Serial.m_rstats in
-  Buffer.add_string b
-    (Printf.sprintf ",\"rstats\":[%d,%d,%d,%d],\"ut\":\"%s\"" rs.Manager.queued
-       rs.Manager.drained rs.Manager.attempts rs.Manager.abandoned
-       (hex_of_float rs.Manager.unprotected_time));
-  Buffer.add_string b ",\"reprotect\":[";
-  List.iteri
-    (fun i (e : Manager.Serial.reprotect_repr) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"id\":%d,\"scheme\":%S,\"count\":%d,\"since\":\"%s\",\"trace\":%d,\"span\":%d}"
-           e.rr_id e.rr_scheme e.rr_count (hex_of_float e.rr_since) e.rr_trace
-           e.rr_span))
-    r.Manager.Serial.m_reprotect;
-  Buffer.add_char b ']';
-  let prefix = Buffer.contents b in
-  Printf.sprintf "%s,\"crc\":%d}" prefix (Crc32.string prefix)
+  C.add_key w "rstats";
+  C.add_ints w
+    [ rs.Manager.queued; rs.Manager.drained; rs.Manager.attempts; rs.Manager.abandoned ];
+  C.add_bits_field w "ut" rs.Manager.unprotected_time;
+  C.add_key w "reprotect";
+  C.add_list w write_reprotect r.Manager.Serial.m_reprotect;
+  C.seal w
+
+(* About the encoded size, so the writer does not regrow on the way. *)
+let writer_for ck =
+  let ns = ck.ck_repr.Manager.Serial.m_state in
+  C.writer
+    (256
+    + (8 * Array.length ns.Net_state.Serial.r_prime)
+    + (96 * List.length ns.Net_state.Serial.r_conns))
+
+let encode ck =
+  let w = writer_for ck in
+  write w ck;
+  C.contents w
 
 (* ---- decoding ------------------------------------------------------------ *)
 
-let ( let* ) r f = Result.bind r f
+let read_conn c =
+  C.lit c "{\"id\":";
+  let r_id = C.int c in
+  let r_src = C.int_field c "src" in
+  let r_dst = C.int_field c "dst" in
+  let r_bw = C.int_field c "bw" in
+  C.key c "deg";
+  let r_degraded = C.bit c in
+  C.key c "p";
+  let r_primary = C.ints c in
+  C.key c "b";
+  let r_backups = C.list c C.ints in
+  C.char c '}';
+  { Net_state.Serial.r_id; r_src; r_dst; r_bw; r_degraded; r_primary; r_backups }
 
-let field key j =
-  match J.mem key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" key)
+let read_reprotect c =
+  C.lit c "{\"id\":";
+  let rr_id = C.int c in
+  let rr_scheme = C.string_field c "scheme" in
+  let rr_count = C.int_field c "count" in
+  let rr_since = C.bits_field c "since" in
+  let rr_trace = C.int_field c "trace" in
+  let rr_span = C.int_field c "span" in
+  C.char c '}';
+  { Manager.Serial.rr_id; rr_scheme; rr_count; rr_since; rr_trace; rr_span }
 
-let int_field key j =
-  let* v = field key j in
-  match v with
-  | J.Num f -> Ok (int_of_float f)
-  | _ -> Error (Printf.sprintf "field %S: expected integer" key)
-
-let str_field key j =
-  let* v = field key j in
-  match v with
-  | J.Str s -> Ok s
-  | _ -> Error (Printf.sprintf "field %S: expected string" key)
-
-let hex_float_field key j =
-  let* s = str_field key j in
-  match float_of_hex s with
-  | f -> Ok f
-  | exception _ -> Error (Printf.sprintf "field %S: bad float bits" key)
-
-let int_list_of key = function
-  | J.Arr xs ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | J.Num f :: tl -> go (int_of_float f :: acc) tl
-        | _ -> Error (Printf.sprintf "field %S: expected integers" key)
-      in
-      go [] xs
-  | _ -> Error (Printf.sprintf "field %S: expected array" key)
-
-let int_array_field key j =
-  let* v = field key j in
-  let* xs = int_list_of key v in
-  Ok (Array.of_list xs)
-
-let arr_field key j =
-  let* v = field key j in
-  match v with
-  | J.Arr xs -> Ok xs
-  | _ -> Error (Printf.sprintf "field %S: expected array" key)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: tl ->
-      let* y = f x in
-      let* ys = map_result f tl in
-      Ok (y :: ys)
-
-let decode line =
-  let crc_marker = ",\"crc\":" in
-  let mlen = String.length crc_marker in
-  let rec scan i =
-    if i < 0 then None
-    else if String.length line - i >= mlen && String.sub line i mlen = crc_marker
-    then Some (String.sub line 0 i)
-    else scan (i - 1)
+let read c =
+  C.lit c "{\"v\":";
+  let v = C.int c in
+  if v <> version then C.fail c (Printf.sprintf "unsupported version %d" v);
+  let ck_wal_seq = C.int_field c "wal_seq" in
+  let ck_time = C.bits_field c "t" in
+  C.key c "prime";
+  let r_prime = C.array c C.int in
+  C.key c "spare";
+  let r_spare = C.array c C.int in
+  C.key c "failed";
+  let r_failed = C.array c C.bit in
+  let r_aplv_updates = C.int_field c "aplv_updates" in
+  C.key c "conns";
+  let r_conns = C.list c read_conn in
+  C.key c "stats";
+  let m_stats =
+    match C.ints c with
+    | [ requests; accepted; rejected_no_primary; rejected_no_backup; released;
+        degraded; unprotected ] ->
+        {
+          Manager.requests;
+          accepted;
+          rejected_no_primary;
+          rejected_no_backup;
+          released;
+          degraded;
+          unprotected;
+        }
+    | _ -> C.fail c "stats arity"
   in
-  match scan (String.length line - mlen) with
-  | None -> Error "checkpoint: no crc field"
-  | Some prefix -> (
-          let* j = J.json_of_string line in
-          let* crc = int_field "crc" j in
-          if Crc32.string prefix <> crc then Error "checkpoint: crc mismatch"
-          else
-            let* v = int_field "v" j in
-            if v <> version then
-              Error (Printf.sprintf "checkpoint: unsupported version %d" v)
-            else
-              let* ck_wal_seq = int_field "wal_seq" j in
-              let* ck_time = hex_float_field "t" j in
-              let* r_prime = int_array_field "prime" j in
-              let* r_spare = int_array_field "spare" j in
-              let* failed_ints = int_array_field "failed" j in
-              let r_failed = Array.map (fun v -> v <> 0) failed_ints in
-              let* r_aplv_updates = int_field "aplv_updates" j in
-              let* conns_json = arr_field "conns" j in
-              let* r_conns =
-                map_result
-                  (fun cj ->
-                    let* r_id = int_field "id" cj in
-                    let* r_src = int_field "src" cj in
-                    let* r_dst = int_field "dst" cj in
-                    let* r_bw = int_field "bw" cj in
-                    let* deg = int_field "deg" cj in
-                    let* pv = field "p" cj in
-                    let* r_primary = int_list_of "p" pv in
-                    let* bv = arr_field "b" cj in
-                    let* r_backups = map_result (int_list_of "b") bv in
-                    Ok
-                      {
-                        Net_state.Serial.r_id;
-                        r_src;
-                        r_dst;
-                        r_bw;
-                        r_degraded = deg <> 0;
-                        r_primary;
-                        r_backups;
-                      })
-                  conns_json
-              in
-              let* stats = int_array_field "stats" j in
-              if Array.length stats <> 7 then Error "checkpoint: stats arity"
-              else
-                let* rstats = int_array_field "rstats" j in
-                if Array.length rstats <> 4 then Error "checkpoint: rstats arity"
-                else
-                  let* unprotected_time = hex_float_field "ut" j in
-                  let* rp_json = arr_field "reprotect" j in
-                  let* m_reprotect =
-                    map_result
-                      (fun ej ->
-                        let* rr_id = int_field "id" ej in
-                        let* rr_scheme = str_field "scheme" ej in
-                        let* rr_count = int_field "count" ej in
-                        let* rr_since = hex_float_field "since" ej in
-                        let* rr_trace = int_field "trace" ej in
-                        let* rr_span = int_field "span" ej in
-                        Ok
-                          {
-                            Manager.Serial.rr_id;
-                            rr_scheme;
-                            rr_count;
-                            rr_since;
-                            rr_trace;
-                            rr_span;
-                          })
-                      rp_json
-                  in
-                  let m_stats =
-                    {
-                      Manager.requests = stats.(0);
-                      accepted = stats.(1);
-                      rejected_no_primary = stats.(2);
-                      rejected_no_backup = stats.(3);
-                      released = stats.(4);
-                      degraded = stats.(5);
-                      unprotected = stats.(6);
-                    }
-                  in
-                  let m_rstats =
-                    {
-                      Manager.queued = rstats.(0);
-                      drained = rstats.(1);
-                      attempts = rstats.(2);
-                      abandoned = rstats.(3);
-                      unprotected_time;
-                    }
-                  in
-                  Ok
-                    {
-                      ck_wal_seq;
-                      ck_time;
-                      ck_repr =
-                        {
-                          Manager.Serial.m_state =
-                            {
-                              Net_state.Serial.r_prime;
-                              r_spare;
-                              r_failed;
-                              r_aplv_updates;
-                              r_conns;
-                            };
-                          m_stats;
-                          m_rstats;
-                          m_reprotect;
-                        };
-                    })
+  C.key c "rstats";
+  let queued, drained, attempts, abandoned =
+    match C.ints c with
+    | [ q; d; a; b ] -> (q, d, a, b)
+    | _ -> C.fail c "rstats arity"
+  in
+  let unprotected_time = C.bits_field c "ut" in
+  C.key c "reprotect";
+  let m_reprotect = C.list c read_reprotect in
+  {
+    ck_wal_seq;
+    ck_time;
+    ck_repr =
+      {
+        Manager.Serial.m_state =
+          { Net_state.Serial.r_prime; r_spare; r_failed; r_aplv_updates; r_conns };
+        m_stats;
+        m_rstats = { Manager.queued; drained; attempts; abandoned; unprotected_time };
+        m_reprotect;
+      };
+  }
+
+let decode_sub s ~pos ~len =
+  Result.map_error (fun e -> "checkpoint: " ^ e) (C.parse s ~pos ~len read)
+
+let decode line = decode_sub line ~pos:0 ~len:(String.length line)
 
 (* ---- file I/O ------------------------------------------------------------ *)
 
 let save path ck =
-  let line = encode ck in
+  let w = writer_for ck in
+  write w ck;
+  C.add_char w '\n';
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc line;
-      output_char oc '\n');
+    (fun () -> C.output oc w);
   Sys.rename tmp path;
-  String.length line + 1
+  C.length w
 
 let load path =
   if not (Sys.file_exists path) then Ok None
-  else begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match input_line ic with
-        | exception End_of_file -> Error (path ^ ": empty checkpoint file")
-        | line ->
-            let* ck = decode line in
-            Ok (Some ck))
-  end
+  else
+    let s = In_channel.with_open_bin path In_channel.input_all in
+    if s = "" then Error (path ^ ": empty checkpoint file")
+    else
+      let len = Option.value (String.index_opt s '\n') ~default:(String.length s) in
+      Result.map Option.some (decode_sub s ~pos:0 ~len)

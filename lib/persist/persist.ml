@@ -13,9 +13,9 @@
      is truncated only after the checkpoint is durably renamed, so a crash
      between the two leaves a longer-than-needed WAL (harmless: the seq
      filter skips the covered prefix), never a hole.
-   - Replay runs inside Journal.capture ~trace_seed:0, which saves and
+   - Replay runs inside Journal.discarding ~trace_seed:0, which saves and
      restores the ambient causal context and simulation clock: the replay
-     discards its journal entries and leaves the causal RNG exactly where
+     drops its journal entries and leaves the causal RNG exactly where
      the crash found it, so post-recovery trace ids match an uncrashed
      run bit-for-bit. *)
 
@@ -130,9 +130,9 @@ let recover cfg ~manager =
   in
   let* () =
     match
-      J.capture ~trace_seed:0 (fun () -> List.iter (Wal.replay manager) tail)
+      J.discarding ~trace_seed:0 (fun () -> List.iter (Wal.replay manager) tail)
     with
-    | (), (_ : J.captured) -> Ok ()
+    | () -> Ok ()
     | exception e -> Error ("wal replay: " ^ Printexc.to_string e)
   in
   let replayed = List.length tail in

@@ -10,7 +10,7 @@
     covered from to-replay records.  {!recover} restores the latest
     checkpoint (if any) into a fresh same-topology manager and replays
     the WAL tail through the exact live mutation paths, inside
-    [Journal.capture ~trace_seed:0] so the ambient causal context and
+    [Journal.discarding ~trace_seed:0] so the ambient causal context and
     clock are untouched — a recovered run's subsequent trace ids match an
     uncrashed run bit-for-bit.
 

@@ -13,7 +13,7 @@
    with hidden RNG state (bounded flooding under fault injection) is not
    checkpointed and must not be combined with crash recovery. *)
 
-module J = Dr_obs.Journal
+module C = Codec
 open Dr_sim
 open Drtp
 
@@ -47,214 +47,125 @@ let op_name = function
 
 (* ---- encoding ------------------------------------------------------------ *)
 
-let hex_of_float f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
-let float_of_hex s = Int64.float_of_bits (Int64.of_string ("0x" ^ s))
+(* One writer and one reader per op, in the same field order: the pair is
+   the schema. *)
 
-let add_ints b key links =
-  Buffer.add_string b (Printf.sprintf ",%S:[" key);
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int l))
-    links;
-  Buffer.add_char b ']'
-
-let add_op_fields b = function
+let write_op w = function
   | Request r ->
-      Buffer.add_string b
-        (Printf.sprintf ",\"conn\":%d,\"src\":%d,\"dst\":%d,\"bw\":%d,\"dur\":\"%s\""
-           r.conn r.src r.dst r.bw (hex_of_float r.duration))
-  | Release r -> Buffer.add_string b (Printf.sprintf ",\"conn\":%d" r.conn)
-  | Fail_edge r -> Buffer.add_string b (Printf.sprintf ",\"edge\":%d" r.edge)
-  | Restore_edge r -> Buffer.add_string b (Printf.sprintf ",\"edge\":%d" r.edge)
-  | Fail_group r -> Buffer.add_string b (Printf.sprintf ",\"group\":%d" r.group)
-  | Restore_group r ->
-      Buffer.add_string b (Printf.sprintf ",\"group\":%d" r.group)
+      C.add_int_field w "conn" r.conn;
+      C.add_int_field w "src" r.src;
+      C.add_int_field w "dst" r.dst;
+      C.add_int_field w "bw" r.bw;
+      C.add_bits_field w "dur" r.duration
+  | Release r -> C.add_int_field w "conn" r.conn
+  | Fail_edge r -> C.add_int_field w "edge" r.edge
+  | Restore_edge r -> C.add_int_field w "edge" r.edge
+  | Fail_group r -> C.add_int_field w "group" r.group
+  | Restore_group r -> C.add_int_field w "group" r.group
   | Promote r ->
-      Buffer.add_string b (Printf.sprintf ",\"conn\":%d,\"index\":%d" r.conn r.index)
+      C.add_int_field w "conn" r.conn;
+      C.add_int_field w "index" r.index
   | Reroute r ->
-      Buffer.add_string b (Printf.sprintf ",\"conn\":%d" r.conn);
-      add_ints b "links" r.links
+      C.add_int_field w "conn" r.conn;
+      C.add_key w "links";
+      C.add_ints w r.links
   | Replace_backups r ->
-      Buffer.add_string b (Printf.sprintf ",\"conn\":%d,\"backups\":[" r.conn);
-      List.iteri
-        (fun i bk ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '[';
-          List.iteri
-            (fun j l ->
-              if j > 0 then Buffer.add_char b ',';
-              Buffer.add_string b (string_of_int l))
-            bk;
-          Buffer.add_char b ']')
-        r.backups;
-      Buffer.add_char b ']'
+      C.add_int_field w "conn" r.conn;
+      C.add_key w "backups";
+      C.add_list w C.add_ints r.backups
   | Queue_reprotect r ->
-      Buffer.add_string b
-        (Printf.sprintf ",\"conn\":%d,\"scheme\":%S,\"count\":%d" r.conn r.scheme
-           r.count)
+      C.add_int_field w "conn" r.conn;
+      C.add_string_field w "scheme" r.scheme;
+      C.add_int_field w "count" r.count
   | Drain_reprotect -> ()
 
 let encode { seq; time; op } =
-  let b = Buffer.create 96 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"seq\":%d,\"t\":\"%s\",\"op\":\"%s\"" seq (hex_of_float time)
-       (op_name op));
-  add_op_fields b op;
-  let prefix = Buffer.contents b in
-  Printf.sprintf "%s,\"crc\":%d}" prefix (Crc32.string prefix)
+  let w = C.writer 128 in
+  C.add_lit w "{\"seq\":";
+  C.add_int w seq;
+  C.add_bits_field w "t" time;
+  C.add_string_field w "op" (op_name op);
+  write_op w op;
+  C.seal w;
+  C.contents w
 
 (* ---- decoding ------------------------------------------------------------ *)
 
-let crc_marker = ",\"crc\":"
-
-let find_crc_prefix line =
-  (* The CRC is the last field we wrote, so search from the end. *)
-  let mlen = String.length crc_marker in
-  let rec scan i =
-    if i < 0 then None
-    else if String.length line - i >= mlen && String.sub line i mlen = crc_marker
-    then Some (String.sub line 0 i)
-    else scan (i - 1)
-  in
-  scan (String.length line - mlen)
-
-let ( let* ) r f = Result.bind r f
-
-let field key j =
-  match J.mem key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" key)
-
-let int_field key j =
-  let* v = field key j in
-  match v with
-  | J.Num f -> Ok (int_of_float f)
-  | _ -> Error (Printf.sprintf "field %S: expected integer" key)
-
-let str_field key j =
-  let* v = field key j in
-  match v with
-  | J.Str s -> Ok s
-  | _ -> Error (Printf.sprintf "field %S: expected string" key)
-
-let hex_float_field key j =
-  let* s = str_field key j in
-  match float_of_hex s with
-  | f -> Ok f
-  | exception _ -> Error (Printf.sprintf "field %S: bad float bits" key)
-
-let ints_field key j =
-  let* v = field key j in
-  match v with
-  | J.Arr xs ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | J.Num f :: tl -> go (int_of_float f :: acc) tl
-        | _ -> Error (Printf.sprintf "field %S: expected integer array" key)
-      in
-      go [] xs
-  | _ -> Error (Printf.sprintf "field %S: expected array" key)
-
-let decode_op name j =
+let read_op c name =
   match name with
   | "request" ->
-      let* conn = int_field "conn" j in
-      let* src = int_field "src" j in
-      let* dst = int_field "dst" j in
-      let* bw = int_field "bw" j in
-      let* duration = hex_float_field "dur" j in
-      Ok (Request { conn; src; dst; bw; duration })
-  | "release" ->
-      let* conn = int_field "conn" j in
-      Ok (Release { conn })
-  | "fail-edge" ->
-      let* edge = int_field "edge" j in
-      Ok (Fail_edge { edge })
-  | "restore-edge" ->
-      let* edge = int_field "edge" j in
-      Ok (Restore_edge { edge })
-  | "fail-group" ->
-      let* group = int_field "group" j in
-      Ok (Fail_group { group })
-  | "restore-group" ->
-      let* group = int_field "group" j in
-      Ok (Restore_group { group })
+      let conn = C.int_field c "conn" in
+      let src = C.int_field c "src" in
+      let dst = C.int_field c "dst" in
+      let bw = C.int_field c "bw" in
+      let duration = C.bits_field c "dur" in
+      Request { conn; src; dst; bw; duration }
+  | "release" -> Release { conn = C.int_field c "conn" }
+  | "fail-edge" -> Fail_edge { edge = C.int_field c "edge" }
+  | "restore-edge" -> Restore_edge { edge = C.int_field c "edge" }
+  | "fail-group" -> Fail_group { group = C.int_field c "group" }
+  | "restore-group" -> Restore_group { group = C.int_field c "group" }
   | "promote" ->
-      let* conn = int_field "conn" j in
-      let* index = int_field "index" j in
-      Ok (Promote { conn; index })
+      let conn = C.int_field c "conn" in
+      let index = C.int_field c "index" in
+      Promote { conn; index }
   | "reroute" ->
-      let* conn = int_field "conn" j in
-      let* links = ints_field "links" j in
-      Ok (Reroute { conn; links })
+      let conn = C.int_field c "conn" in
+      C.key c "links";
+      Reroute { conn; links = C.ints c }
   | "replace-backups" ->
-      let* conn = int_field "conn" j in
-      let* v = field "backups" j in
-      let* backups =
-        match v with
-        | J.Arr xs ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | J.Arr ys :: tl ->
-                  let rec inner acc2 = function
-                    | [] -> Ok (List.rev acc2)
-                    | J.Num f :: t2 -> inner (int_of_float f :: acc2) t2
-                    | _ -> Error "field \"backups\": expected integer arrays"
-                  in
-                  let* one = inner [] ys in
-                  go (one :: acc) tl
-              | _ -> Error "field \"backups\": expected arrays"
-            in
-            go [] xs
-        | _ -> Error "field \"backups\": expected array"
-      in
-      Ok (Replace_backups { conn; backups })
+      let conn = C.int_field c "conn" in
+      C.key c "backups";
+      Replace_backups { conn; backups = C.list c C.ints }
   | "queue-reprotect" ->
-      let* conn = int_field "conn" j in
-      let* scheme = str_field "scheme" j in
-      let* count = int_field "count" j in
-      Ok (Queue_reprotect { conn; scheme; count })
-  | "drain-reprotect" -> Ok Drain_reprotect
-  | other -> Error (Printf.sprintf "unknown op %S" other)
+      let conn = C.int_field c "conn" in
+      let scheme = C.string_field c "scheme" in
+      let count = C.int_field c "count" in
+      Queue_reprotect { conn; scheme; count }
+  | "drain-reprotect" -> Drain_reprotect
+  | other -> C.fail c (Printf.sprintf "unknown op %S" other)
 
-let decode line =
-  match find_crc_prefix line with
-  | None -> Error "no crc field"
-  | Some prefix -> (
-      let* j = J.json_of_string line in
-      let* crc = int_field "crc" j in
-      if Crc32.string prefix <> crc then Error "crc mismatch"
-      else
-        let* seq = int_field "seq" j in
-        let* time = hex_float_field "t" j in
-        let* name = str_field "op" j in
-        let* op = decode_op name j in
-        Ok { seq; time; op })
+let read_record c =
+  C.lit c "{\"seq\":";
+  let seq = C.int c in
+  let time = C.bits_field c "t" in
+  let name = C.string_field c "op" in
+  { seq; time; op = read_op c name }
+
+let decode_sub s ~pos ~len = C.parse s ~pos ~len read_record
+let decode line = decode_sub line ~pos:0 ~len:(String.length line)
+
+let blank s ~pos ~len =
+  let rec go i =
+    i = pos + len
+    || (match s.[i] with ' ' | '\t' | '\r' | '\012' -> true | _ -> false)
+       && go (i + 1)
+  in
+  go pos
 
 let load path =
   if not (Sys.file_exists path) then Ok []
-  else begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc lineno last_seq =
-          match input_line ic with
-          | exception End_of_file -> Ok (List.rev acc)
-          | line when String.trim line = "" -> go acc (lineno + 1) last_seq
-          | line -> (
-              match decode line with
-              | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e)
-              | Ok r ->
-                  if r.seq <= last_seq then
-                    Error
-                      (Printf.sprintf "%s:%d: sequence %d not increasing (after %d)"
-                         path lineno r.seq last_seq)
-                  else go (r :: acc) (lineno + 1) r.seq)
-        in
-        go [] 1 min_int)
-  end
+  else
+    (* One read of the whole file; each line is decoded where it lies. *)
+    let s = In_channel.with_open_bin path In_channel.input_all in
+    let n = String.length s in
+    let rec go acc lineno last_seq pos =
+      if pos >= n then Ok (List.rev acc)
+      else
+        let eol = Option.value (String.index_from_opt s pos '\n') ~default:n in
+        let len = eol - pos in
+        if blank s ~pos ~len then go acc (lineno + 1) last_seq (eol + 1)
+        else
+          match decode_sub s ~pos ~len with
+          | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e)
+          | Ok r ->
+              if r.seq <= last_seq then
+                Error
+                  (Printf.sprintf "%s:%d: sequence %d not increasing (after %d)"
+                     path lineno r.seq last_seq)
+              else go (r :: acc) (lineno + 1) r.seq (eol + 1)
+    in
+    go [] 1 min_int 0
 
 (* ---- replay -------------------------------------------------------------- *)
 

@@ -5,9 +5,29 @@
     [{"seq":12,"t":"4028ae147ae147ae","op":"request","conn":3,...,"crc":913...}]:
     [seq] is monotone across the log's lifetime (checkpoint truncation
     does not reset it), [t] is the simulation time's exact IEEE-754 bits
-    in hex, and [crc] is {!Crc32.string} of everything before the
-    [,"crc":] marker — a torn tail or flipped bit fails decoding instead
-    of replaying garbage.
+    in hex, and [crc] is {!Crc32} of everything before the [,"crc":]
+    marker — a torn tail or flipped bit fails decoding instead of
+    replaying garbage.
+
+    {b Grammar.}  The values are spelled as {!Codec} describes (canonical
+    decimal ints, lower-case hex float bits, JSON strings), with the
+    fields in this order and nothing else:
+    {v
+    {"seq":I,"t":"F","op":"NAME" FIELDS ,"crc":I}
+      request          ,"conn":I,"src":I,"dst":I,"bw":I,"dur":"F"
+      release          ,"conn":I
+      fail-edge        ,"edge":I        restore-edge   ,"edge":I
+      fail-group       ,"group":I       restore-group  ,"group":I
+      promote          ,"conn":I,"index":I
+      reroute          ,"conn":I,"links":[I,...]
+      replace-backups  ,"conn":I,"backups":[[I,...],...]
+      queue-reprotect  ,"conn":I,"scheme":"S","count":I
+      drain-reprotect  (no fields)
+    v}
+    {!decode} accepts exactly the lines {!encode} writes:
+    [decode line = Ok r] implies [encode r = line], so a hand-edited
+    line whose CRC was recomputed is still rejected unless it is
+    canonical.
 
     {b Replay caveat.}  {!replay} routes [Request]/[Release] through the
     exact [Manager.apply] path and assumes the manager's route functions
@@ -42,11 +62,13 @@ val encode : record -> string
 (** One JSONL line, no trailing newline, CRC included. *)
 
 val decode : string -> (record, string) result
-(** Parse and CRC-verify one line. *)
+(** Parse and CRC-verify one line (no newline).  Never raises; [Error]
+    for any line {!encode} would not have written. *)
 
 val load : string -> (record list, string) result
 (** Read a whole log, oldest first; verifies every CRC and that sequence
-    numbers strictly increase.  A missing file is an empty log. *)
+    numbers strictly increase, and skips blank lines.  A missing file is
+    an empty log; an [Error] names the file and the line number. *)
 
 val replay : Drtp.Manager.t -> record -> unit
 (** Re-execute one record against the manager: [Request]/[Release] via

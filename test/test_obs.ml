@@ -90,6 +90,34 @@ let test_capture_isolates () =
       Alcotest.(check (float 0.0)) "re-appended entry keeps its time" 5.0 b.J.time
   | _ -> Alcotest.fail "expected two entries"
 
+(* Recovery replays under [discarding]: the thunk must see what a capture
+   gives it (clock at 0, the seeded causal context, so the same trace ids)
+   and leave the caller's clock, causal context and buffer as they were. *)
+let test_discarding () =
+  scoped @@ fun () ->
+  let outer = J.current () in
+  J.set_now 42.0;
+  let thunk () =
+    Alcotest.(check (float 0.0)) "clock restarts" 0.0 (J.now ());
+    let s = J.Causal.root "inner" in
+    J.record (J.Teardown { conn = 1 });
+    J.Causal.close s ~dur:0.0;
+    J.Causal.trace_id s
+  in
+  let run isolate =
+    J.Causal.reset ~seed:7;
+    let inner = isolate thunk in
+    (inner, J.Causal.trace_id (J.Causal.root "next"))
+  in
+  let captured = run (fun f -> fst (J.capture ~trace_seed:0 f)) in
+  let before = J.recorded outer in
+  let discarded = run (J.discarding ~trace_seed:0) in
+  Alcotest.(check (pair int int)) "same trace ids inside and after" captured
+    discarded;
+  Alcotest.(check int) "only the caller's own span reached its buffer" 1
+    (J.recorded outer - before);
+  Alcotest.(check (float 0.0)) "clock restored" 42.0 (J.now ())
+
 (* One instance of every event constructor: the round-trip test feeds each
    through the writer and the reader, so a new kind cannot be added without
    serialisation, a kind name and reader acceptance. *)
@@ -476,6 +504,8 @@ let suite =
         Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
         Alcotest.test_case "capture isolates and re-appends" `Quick
           test_capture_isolates;
+        Alcotest.test_case "discarding keeps nothing, restores like capture"
+          `Quick test_discarding;
         Alcotest.test_case "jsonl round-trip, every kind" `Quick
           test_jsonl_round_trip;
         Alcotest.test_case "verdict parts sum bit-exactly" `Quick
