@@ -87,12 +87,19 @@ let test_table1 =
   Test.make ~name:"table1/render"
     (Staged.stage (fun () -> ignore (Format.asprintf "%a" Config.pp_table1 cfg)))
 
-let ft_snapshot state name =
-  Test.make ~name
-    (Staged.stage (fun () -> ignore (Drtp.Failure_eval.evaluate state)))
+(* A Figure 4 snapshot is both halves: every single-edge failure
+   ([evaluate]) and every node failure ([evaluate_nodes]). *)
+let ft_snapshot evaluate state name =
+  Test.make ~name (Staged.stage (fun () -> ignore (evaluate state)))
 
-let test_fig4_e3 = ft_snapshot state3 "fig4/ft-snapshot-E3"
-let test_fig4_e4 = ft_snapshot state4 "fig4/ft-snapshot-E4"
+let test_fig4_e3 = ft_snapshot Drtp.Failure_eval.evaluate state3 "fig4/ft-snapshot-E3"
+let test_fig4_e4 = ft_snapshot Drtp.Failure_eval.evaluate state4 "fig4/ft-snapshot-E4"
+
+let test_fig4_nodes_e3 =
+  ft_snapshot Drtp.Failure_eval.evaluate_nodes state3 "fig4/node-ft-snapshot-E3"
+
+let test_fig4_nodes_e4 =
+  ft_snapshot Drtp.Failure_eval.evaluate_nodes state4 "fig4/node-ft-snapshot-E4"
 
 (* Figure 5's kernel: one admit+release cycle through the manager-level
    machinery (route, reserve, register backup, release, reclaim). *)
@@ -358,6 +365,8 @@ let all_tests =
     test_table1;
     test_fig4_e3;
     test_fig4_e4;
+    test_fig4_nodes_e3;
+    test_fig4_nodes_e4;
     test_fig5_replay;
     test_primary_routing;
     test_backup_plsr;

@@ -896,7 +896,8 @@ let recover_cmd =
       & info [ "wal" ] ~docv:"PATH"
           ~doc:
             "Write-ahead log to recover from (the checkpoint is read from \
-             $(docv).ckpt when present).")
+             $(docv).ckpt when present).  A usage error (exit 2) when \
+             neither file exists.")
   in
   let smoke_t =
     flag_t "smoke"
@@ -905,6 +906,13 @@ let recover_cmd =
          is comparable with a smoke run's."
   in
   let run degree scheme quick smoke wal seed =
+    let persist = Persist.default_config ~wal_path:wal in
+    (* With neither file there is nothing to recover: the empty state's
+       digest would pass for a recovery. *)
+    if not (Sys.file_exists wal || Sys.file_exists persist.Persist.checkpoint_path)
+    then
+      usage_error "nothing to recover: neither %s nor %s exists" wal
+        persist.Persist.checkpoint_path;
     let cfg = config_of ~quick:(quick || smoke) ~seed in
     let graph = Dr_exp.Config.make_graph cfg ~avg_degree:degree in
     let route = Drtp.Routing.link_state_route_fn scheme ~with_backup:true in
@@ -912,7 +920,7 @@ let recover_cmd =
       Drtp.Manager.create ~graph ~capacity:cfg.Dr_exp.Config.capacity
         ~spare_policy:Drtp.Net_state.Multiplexed ~route
     in
-    match Persist.recover (Persist.default_config ~wal_path:wal) ~manager with
+    match Persist.recover persist ~manager with
     | Error e ->
         Printf.eprintf "drtp_sim recover: %s\n%!" e;
         exit 1

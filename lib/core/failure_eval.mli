@@ -24,7 +24,24 @@
     edge set — one edge, an edge pair, a node's incident edges, an SRLG
     group or an arbitrary set — and answers it with the one greedy walk
     just described: a backup qualifies only if it avoids {e every} failed
-    edge. *)
+    edge and each occurrence of each of its links finds [bw] of budget
+    (checked before any is charged); it then draws [bw] per occurrence.
+
+    {b Cost.}  A whole-state evaluation ({!evaluate}, {!evaluate_nodes},
+    {!evaluate_double}, {!evaluate_srlg}) first builds a {e victim index}:
+    one pass over the connection table in id order (radix-sorted) puts
+    each connection on the list of every edge its primary crosses (for
+    {!evaluate_nodes}, of every node it passes through without ending
+    there), so each list is already in id order: the lists
+    [Net_state.primaries_crossing_edge(s)] sorts per failure, whenever
+    [Net_state.check_invariants] holds.  An edge set's victims merge its
+    members' lists.  The walk keeps per-link budgets in one [int] row per
+    call, stamped with a fresh epoch for each failure, so a failure costs
+    its victims' backup hops and allocates nothing per link.  A call is
+    O(C·b + Σ primary hops + Σ_failures Σ_victims backup hops) for C
+    connections whose ids span b bytes; neither the index nor the row
+    outlives it.  The single-failure entry points read their victims from
+    [Net_state]'s per-edge primary index instead and walk the same row. *)
 
 type edge_outcome = {
   edge : int;

@@ -9,8 +9,8 @@ type t = item array
 let event_rank = function Request _ -> 0 | Release _ -> 1
 
 let validate items =
-  let requested = Hashtbl.create 64 in
-  let released = Hashtbl.create 64 in
+  let requested = Hashtbl.create (Array.length items) in
+  let released = Hashtbl.create (Array.length items) in
   Array.iter
     (fun { time; event } ->
       if time < 0.0 || Float.is_nan time then
@@ -35,17 +35,18 @@ let validate items =
     items
 
 let of_items list =
-  let arr = Array.of_list list in
+  let items = Array.of_list list in
   (* Stable sort by (time, kind): a release scheduled at the same instant as
      a request is processed after it, freeing resources for later events
-     only. *)
-  let arr =
-    Array.mapi (fun i it -> (it.time, event_rank it.event, i, it)) arr
-  in
-  Array.sort compare arr;
-  let sorted = Array.map (fun (_, _, _, it) -> it) arr in
-  validate sorted;
-  sorted
+     only; items equal in both keep their list order. *)
+  Array.stable_sort
+    (fun a b ->
+      match Float.compare a.time b.time with
+      | 0 -> Int.compare (event_rank a.event) (event_rank b.event)
+      | c -> c)
+    items;
+  validate items;
+  items
 
 let items t = t
 let length t = Array.length t

@@ -53,12 +53,10 @@ let release_now t ~now ~conn =
 
 (* A speculation undoes the manager and its state on both exits
    ({!Manager.speculate}) and is isolated from the live journal with
-   {!J.capture}: its events land in a throwaway ring and the causal-trace
-   RNG is saved/restored, so a what-if perturbs neither the journal bytes
-   nor the trace ids of subsequent real admissions. *)
-let speculate t f =
-  Manager.speculate t.manager (fun () ->
-      fst (J.capture ~capacity:256 ~trace_seed:0 f))
+   {!J.discarding}: its events are dropped as they are recorded and the
+   causal-trace RNG is saved/restored, so a what-if perturbs neither the
+   journal bytes nor the trace ids of subsequent real admissions. *)
+let speculate t f = Manager.speculate t.manager (fun () -> J.discarding ~trace_seed:0 f)
 
 let record_what_if ~conn ~src ~dst verdict =
   if !J.on then

@@ -175,6 +175,146 @@ let test_double_monte_carlo () =
   Alcotest.(check bool) "double <= single" true
     (FE.fault_tolerance r <= single +. 1e-9)
 
+(* ---- differential check against the oracle ------------------------------ *)
+
+module Rng = Dr_rng.Splitmix64
+module Srlg = Dr_resilience.Srlg
+module Routing = Drtp.Routing
+module O = Failure_eval_oracle
+
+(* [b] with a detour over its first link and back in front: the result
+   still joins the same endpoints, but crosses that link twice. *)
+let looped g b =
+  match Path.links b with
+  | l :: _ as links -> Path.of_links g (l :: Graph.twin l :: links)
+  | [] -> b
+
+(* A random loaded state: a Waxman graph with a random SRLG model, then
+   admissions (k = 2 link-state, k = 2 chains, bounded flooding or min-hop
+   SPF routes; now and then a first backup looped over a link twice),
+   releases and edge failures.  Capacities are small, so backups contend
+   for spare. *)
+let random_state seed =
+  let rng = Rng.create seed in
+  let graph =
+    Dr_topo.Gen.waxman ~rng ~n:(8 + Rng.int rng 10) ~avg_degree:(3.0 +. Rng.float rng 1.0) ()
+  in
+  let n = Graph.node_count graph and edge_count = Graph.edge_count graph in
+  let srlg =
+    match Rng.int rng 3 with
+    | 0 -> Srlg.singletons ~edge_count
+    | 1 -> Srlg.random_partition ~seed ~edge_count ~mean_size:3
+    | _ -> Srlg.random_overlay ~seed ~edge_count ~extra:4 ~size:3
+  in
+  let st =
+    Net_state.create_srlg ~srlg ~graph ~capacity:(3 + Rng.int rng 4)
+      ~spare_policy:Net_state.Multiplexed
+  in
+  let route : Routing.route_fn =
+    match Rng.int rng 4 with
+    | 0 -> Routing.link_state_route_fn ~backup_count:2 Routing.Dlsr ~with_backup:true
+    | 1 -> Routing.chain_route_fn ~k:2 Routing.Plsr
+    | 2 ->
+        Dr_flood.Bounded_flood.route_fn
+          ~hop_matrix:(Dr_topo.Shortest_path.hop_matrix graph) ()
+    | _ -> Routing.link_state_route_fn Routing.Spf ~with_backup:true
+  in
+  (* Connection ids for the index's radix sort: one byte, several bytes,
+     or both signs spanning more than [max_int]. *)
+  let id_of =
+    match Rng.int rng 3 with
+    | 0 -> Fun.id
+    | 1 -> fun i -> (i * 7_919_113) - 300_000_000
+    | _ -> fun i -> if i mod 2 = 0 then min_int + (i * 1_000_003) else max_int - (i * 977)
+  in
+  let live = ref [] in
+  for i = 0 to 30 + Rng.int rng 50 do
+    let id = id_of i in
+    match Rng.int rng 12 with
+    | 0 when !live <> [] ->
+        let victim = List.nth !live (Rng.int rng (List.length !live)) in
+        Net_state.release st ~id:victim;
+        live := List.filter (( <> ) victim) !live
+    | 1 -> Net_state.fail_edge st ~edge:(Rng.int rng edge_count)
+    | _ -> (
+        let src = Rng.int rng n in
+        let dst = (src + 1 + Rng.int rng (n - 1)) mod n in
+        let bw = 1 + Rng.int rng 2 in
+        match route st ~src ~dst ~bw with
+        | Error _ -> ()
+        | Ok { Routing.primary; backups } ->
+            let backups =
+              match backups with
+              | b :: rest when Rng.int rng 4 = 0 ->
+                  let loop = looped graph b :: rest in
+                  if Net_state.admissible st ~bw ~primary ~backups:loop then loop
+                  else backups
+              | _ -> backups
+            in
+            ignore (Net_state.admit st ~id ~bw ~primary ~backups);
+            live := id :: !live)
+  done;
+  st
+
+(* Every entry point against the oracle, field by field ([per_edge] in
+   order); [Error] names the first that differs. *)
+let compare_with_oracle ~spare_only st =
+  let g = Net_state.graph st in
+  let seed = Graph.edge_count g in
+  let check name a b = if a = b then Ok () else Error name in
+  let ( let* ) = Result.bind in
+  let all n f = List.fold_left (fun acc i -> Result.bind acc (fun () -> f i)) (Ok ()) (List.init n Fun.id) in
+  let* () = check "evaluate" (FE.evaluate ~spare_only st) (O.evaluate ~spare_only st) in
+  let* () = check "evaluate_nodes" (FE.evaluate_nodes ~spare_only st) (O.evaluate_nodes ~spare_only st) in
+  let* () =
+    check "evaluate_double"
+      (FE.evaluate_double ~spare_only ~samples:60 ~seed st)
+      (O.evaluate_double ~spare_only ~samples:60 ~seed st)
+  in
+  let* () = check "evaluate_srlg" (FE.evaluate_srlg ~spare_only st) (O.evaluate_srlg ~spare_only st) in
+  let* () =
+    all (Srlg.group_count (Net_state.srlg st)) (fun group ->
+        check "evaluate_group" (FE.evaluate_group ~spare_only st ~group)
+          (O.evaluate_group ~spare_only st ~group))
+  in
+  let* () =
+    all (Graph.node_count g) (fun node ->
+        check "evaluate_node" (FE.evaluate_node ~spare_only st ~node)
+          (O.evaluate_node ~spare_only st ~node))
+  in
+  all (Graph.edge_count g) (fun e1 ->
+      let e2 = (e1 * 7 + 1) mod Graph.edge_count g in
+      let* () =
+        check "evaluate_edge" (FE.evaluate_edge ~spare_only st ~edge:e1)
+          (O.evaluate_edge ~spare_only st ~edge:e1)
+      in
+      let* () =
+        check "evaluate_edges"
+          (FE.evaluate_edges ~spare_only st ~edges:[ e2; e1; e2 ])
+          (O.evaluate_edges ~spare_only st ~edges:[ e2; e1; e2 ])
+      in
+      if e1 = e2 then Ok ()
+      else
+        check "evaluate_edge_pair"
+          (FE.evaluate_edge_pair ~spare_only st ~edges:(e1, e2))
+          (O.evaluate_edge_pair ~spare_only st ~edges:(e1, e2)))
+
+let prop_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:60 ~name:"every entry point = oracle"
+       (QCheck.int_range 0 1_000_000) (fun seed ->
+         let st = random_state seed in
+         (match Net_state.check_invariants st with
+         | Ok () -> ()
+         | Error m -> QCheck.Test.fail_reportf "invariants: %s" m);
+         List.for_all
+           (fun spare_only ->
+             match compare_with_oracle ~spare_only st with
+             | Ok () -> true
+             | Error name ->
+                 QCheck.Test.fail_reportf "%s differs (spare_only = %b)" name spare_only)
+           [ true; false ]))
+
 let suite =
   [
     ( "drtp.failure_eval",
@@ -191,5 +331,6 @@ let suite =
         Alcotest.test_case "pair kills backup too" `Quick test_pair_loses_backup_too;
         Alcotest.test_case "pair overloads single sizing" `Quick test_pair_contention_beyond_single_sizing;
         Alcotest.test_case "double-failure monte carlo" `Quick test_double_monte_carlo;
+        prop_matches_oracle;
       ] );
   ]

@@ -118,6 +118,62 @@ let test_parse_tolerates_comments_and_blanks () =
   | Error e -> Alcotest.fail e
   | Ok s -> Alcotest.(check int) "two events" 2 (Scenario.length s)
 
+(* The sort [Scenario.of_items] made before it compared times with
+   [Float.compare]: polymorphic [compare] on (time, kind rank, input index,
+   item) tuples.  The reference the typed sort is checked against. *)
+let tuple_sort items =
+  let rank = function Scenario.Request _ -> 0 | Scenario.Release _ -> 1 in
+  let arr =
+    Array.of_list (List.mapi (fun i it -> (it.Scenario.time, rank it.Scenario.event, i, it)) items)
+  in
+  Array.sort compare arr;
+  Array.map (fun (_, _, _, it) -> it) arr
+
+(* A shuffled item list over a few instants, so times tie often and a
+   release often shares its request's instant; now and then an item is
+   corrupted so that validation fails. *)
+let random_items seed =
+  let rng = Dr_rng.Splitmix64.create seed in
+  let int n = Dr_rng.Splitmix64.int rng n in
+  let items =
+    List.concat
+      (List.init (int 30) (fun conn ->
+           let t = float_of_int (int 5) in
+           let req = request ~time:t ~conn ~src:(int 3) ~dst:(1 + int 3) in
+           let rel = release ~time:(t +. float_of_int (int 3)) ~conn in
+           match int 150 with
+           | 0 -> [ rel ]
+           | 1 -> [ req; rel; rel ]
+           | 2 -> [ req; release ~time:(t -. 1.0) ~conn ]
+           | 3 -> [ request ~time:(-1.0) ~conn ~src:0 ~dst:1 ]
+           | 4 -> [ req; request ~time:t ~conn ~src:0 ~dst:1 ]
+           | _ -> [ req; rel ]))
+  in
+  let arr = Array.of_list items in
+  for i = Array.length arr - 1 downto 1 do
+    let j = int (i + 1) in
+    let x = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- x
+  done;
+  Array.to_list arr
+
+let outcome f = try Ok (f ()) with Invalid_argument m -> Error m
+
+(* Valid lists sort to exactly the tuple sort's array; invalid ones fail
+   with the message validation gives on the tuple-sorted order, so errors
+   are still found in the same order. *)
+let prop_of_items_equals_tuple_sort =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"of_items = tuple sort"
+       (QCheck.int_range 0 1_000_000) (fun seed ->
+         let items = random_items seed in
+         let sorted = tuple_sort items in
+         match outcome (fun () -> Scenario.items (Scenario.of_items items)) with
+         | Ok got -> got = sorted
+         | Error m ->
+             outcome (fun () -> Scenario.of_items (Array.to_list sorted)) = Error m))
+
 let suite =
   [
     ( "eventsim.scenario",
@@ -130,5 +186,6 @@ let suite =
         Alcotest.test_case "file round-trip" `Quick test_file_roundtrip;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
         Alcotest.test_case "comments and blanks ok" `Quick test_parse_tolerates_comments_and_blanks;
+        prop_of_items_equals_tuple_sort;
       ] );
   ]
